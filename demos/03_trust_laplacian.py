@@ -14,7 +14,8 @@ import scipy.sparse as sp
 
 from socialdmf import (
     SmootherConfig,
-    build_laplacian,
+    TrustTimeline,
+    build_timeline_laplacians,
     init_timeline,
     laplacian_quadratic,
     run_dynamic,
@@ -54,7 +55,7 @@ def main():
     rng = np.random.default_rng(args.seed)
 
     m = 10
-    op = build_laplacian(two_cluster_graph(m))
+    (op,) = build_timeline_laplacians(TrustTimeline(m, [two_cluster_graph(m)]))
     aligned = np.repeat(rng.standard_normal((2, 3)), m // 2, axis=0)
     scrambled = rng.standard_normal((m, 3))
     print("disagreement energy tr(U'LU):")

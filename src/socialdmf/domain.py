@@ -1,8 +1,10 @@
 """Core data types and the flat state layout shared across the package.
 
-The smoother's decision vector stacks, for every time bin, a velocity block
-followed by a position block. Each block is an m-by-k factor matrix flattened
-row-major, so the latent coordinate varies fastest and the user index next.
+The smoother's decision vector is the C-order flattening of an (N, 2, m, k)
+array: for every time bin a velocity block followed by a position block,
+each an m-by-k factor matrix, so the latent coordinate varies fastest and
+the user index next. :attr:`SmootherState.blocks` is the one place that
+reshape is written down.
 """
 
 from __future__ import annotations
@@ -13,19 +15,11 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .laplacian import LaplacianOperator
+
 
 class NumericalError(RuntimeError):
     """A numerical evaluation produced non-finite values."""
-
-
-@dataclass(frozen=True)
-class RatingObservation:
-    """One observed rating: dense user/item indices, value, and time bin."""
-
-    user: int
-    item: int
-    value: float
-    bin: int
 
 
 class RatingsTimeline:
@@ -94,30 +88,6 @@ class RatingsTimeline:
         """The (users, items, values) triple of bin ``t``."""
         return self.users[t], self.items[t], self.values[t]
 
-    def observations(self) -> Iterator[RatingObservation]:
-        """Iterate all observations as records, bin by bin."""
-        for t in range(self.N):
-            for u, i, v in zip(self.users[t], self.items[t], self.values[t]):
-                yield RatingObservation(int(u), int(i), float(v), t)
-
-    @classmethod
-    def from_observations(
-        cls, m: int, n: int, N: int, observations: Sequence[RatingObservation]
-    ) -> "RatingsTimeline":
-        """Build a timeline from observation records (bins may arrive unordered)."""
-        buckets: list[list[RatingObservation]] = [[] for _ in range(N)]
-        for ob in observations:
-            if not 0 <= ob.bin < N:
-                raise ValueError(f"observation bin {ob.bin} out of range [0, {N})")
-            buckets[ob.bin].append(ob)
-        bins = []
-        for bucket in buckets:
-            users = np.array([ob.user for ob in bucket], dtype=np.int64)
-            items = np.array([ob.item for ob in bucket], dtype=np.int64)
-            values = np.array([ob.value for ob in bucket], dtype=np.float64)
-            bins.append((users, items, values))
-        return cls(m, n, bins)
-
 
 class TrustTimeline:
     """Per-bin undirected trust graphs on a fixed set of ``m`` users.
@@ -125,6 +95,9 @@ class TrustTimeline:
     Each bin holds the cumulative graph of all edges created up to (and
     within) that bin, so edge sets are monotone non-decreasing in ``t``.
     Adjacency matrices are symmetric, zero-diagonal, and non-negative.
+    The timeline validates each bin once and owns that bin's
+    :class:`~socialdmf.laplacian.LaplacianOperator`, built on the same CSR
+    matrix.
     """
 
     def __init__(self, m: int, graphs: Sequence[sp.spmatrix]) -> None:
@@ -133,8 +106,7 @@ class TrustTimeline:
         if not len(graphs):
             raise ValueError("timeline needs at least one bin")
         self.m = int(m)
-        self.graphs: list[sp.csr_matrix] = []
-        self._degrees: list[np.ndarray] = []
+        self.laplacians: list[LaplacianOperator] = []
         for t, W in enumerate(graphs):
             W = sp.csr_matrix(W, dtype=np.float64)
             if W.shape != (m, m):
@@ -146,32 +118,28 @@ class TrustTimeline:
             if np.any(W.diagonal() != 0):
                 raise ValueError(f"bin {t}: nonzero diagonal (self-loop)")
             W.eliminate_zeros()
-            self.graphs.append(W)
-            self._degrees.append(np.asarray(W.sum(axis=1)).ravel())
-        for t in range(len(self.graphs) - 1):
-            a = self.graphs[t].astype(bool)
-            b = self.graphs[t + 1].astype(bool)
+            self.laplacians.append(LaplacianOperator(W))
+        for t in range(self.N - 1):
+            a = self.graph(t).astype(bool)
+            b = self.graph(t + 1).astype(bool)
             if (a > b).nnz:
                 raise ValueError(f"bin {t + 1}: edge set lost edges present in bin {t}")
 
     @property
     def N(self) -> int:
-        return len(self.graphs)
+        return len(self.laplacians)
 
     def graph(self, t: int) -> sp.csr_matrix:
-        return self.graphs[t]
-
-    def degrees(self, t: int) -> np.ndarray:
-        return self._degrees[t]
+        return self.laplacians[t].adjacency
 
     def edge_count(self, t: int) -> int:
         """Number of undirected edges in bin ``t``."""
-        return self.graphs[t].nnz // 2
+        return self.laplacians[t].edge_count
 
     def edges(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Upper-triangle edge endpoints (i < j) of bin ``t``."""
-        coo = sp.triu(self.graphs[t], k=1).tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64)
+        op = self.laplacians[t]
+        return op.rows, op.cols
 
 
 @dataclass(frozen=True)
@@ -304,11 +272,12 @@ def process_noise_block(dt: float) -> ProcessNoiseBlock:
 
 @dataclass
 class SmootherState:
-    """A flat smoother state plus the (N, m, k) layout needed to address it.
+    """A flat smoother state plus the (N, m, k) sizes of its layout.
 
-    ``x`` has length ``N * 2 * m * k``. Bin ``t`` occupies the contiguous
-    slice ``[t * 2mk, (t+1) * 2mk)``: first the velocity block, then the
-    position block, each a row-major flattened m-by-k matrix.
+    ``x`` has length ``N * 2 * m * k`` and is the C-order flattening of
+    :attr:`blocks`, so bin ``t`` occupies one contiguous slice: first the
+    velocity block, then the position block, each a row-major flattened
+    m-by-k matrix.
     """
 
     x: np.ndarray
@@ -326,59 +295,20 @@ class SmootherState:
         if self.x.size != expected:
             raise ValueError(f"state has length {self.x.size}, layout needs {expected}")
 
-    def index(self, t: int, part: int, i: int, c: int) -> int:
-        """Flat index of coordinate ``c`` of user ``i`` in bin ``t``.
-
-        ``part`` selects the block: 0 for velocity, 1 for position.
-        """
-        if not 0 <= t < self.N:
-            raise IndexError(f"bin {t} out of range [0, {self.N})")
-        if part not in (0, 1):
-            raise IndexError(f"part must be 0 (velocity) or 1 (position), got {part}")
-        if not 0 <= i < self.m:
-            raise IndexError(f"user {i} out of range [0, {self.m})")
-        if not 0 <= c < self.k:
-            raise IndexError(f"coordinate {c} out of range [0, {self.k})")
-        mk = self.m * self.k
-        return t * 2 * mk + part * mk + i * self.k + c
+    @property
+    def blocks(self) -> np.ndarray:
+        """View of ``x`` as (N, 2, m, k): bin, velocity (0) or position (1), user, coordinate."""
+        return self.x.reshape(self.N, 2, self.m, self.k)
 
     def velocity(self, t: int) -> np.ndarray:
         """View of bin ``t``'s velocity block as an m-by-k matrix."""
-        if not 0 <= t < self.N:
-            raise IndexError(f"bin {t} out of range [0, {self.N})")
-        mk = self.m * self.k
-        base = t * 2 * mk
-        return self.x[base : base + mk].reshape(self.m, self.k)
+        return self._bin(t)[0]
 
     def position(self, t: int) -> np.ndarray:
         """View of bin ``t``'s position block as an m-by-k matrix."""
+        return self._bin(t)[1]
+
+    def _bin(self, t: int) -> np.ndarray:
         if not 0 <= t < self.N:
             raise IndexError(f"bin {t} out of range [0, {self.N})")
-        mk = self.m * self.k
-        base = t * 2 * mk + mk
-        return self.x[base : base + mk].reshape(self.m, self.k)
-
-
-def pack_state(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> SmootherState:
-    """Stack per-bin (velocity, position) matrix pairs into a flat state."""
-    if not len(blocks):
-        raise ValueError("need at least one bin")
-    vel0, pos0 = blocks[0]
-    vel0 = np.asarray(vel0, dtype=np.float64)
-    if vel0.ndim != 2:
-        raise ValueError("blocks must be 2-d matrices")
-    m, k = vel0.shape
-    parts = []
-    for t, (vel, pos) in enumerate(blocks):
-        vel = np.asarray(vel, dtype=np.float64)
-        pos = np.asarray(pos, dtype=np.float64)
-        if vel.shape != (m, k) or pos.shape != (m, k):
-            raise ValueError(f"bin {t}: expected {m}x{k} blocks, got {vel.shape} and {pos.shape}")
-        parts.append(vel.ravel())
-        parts.append(pos.ravel())
-    return SmootherState(x=np.concatenate(parts), N=len(blocks), m=m, k=k)
-
-
-def unpack_state(state: SmootherState, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin ``t``'s (velocity, position) matrices; views into ``state.x``."""
-    return state.velocity(t), state.position(t)
+        return self.blocks[t]

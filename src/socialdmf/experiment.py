@@ -32,7 +32,6 @@ from .domain import (
     SmootherConfig,
     SmootherState,
     TrustTimeline,
-    pack_state,
 )
 from .factorize import init_timeline
 from .ingest import SplitTimeline, split_train_test
@@ -124,6 +123,8 @@ def run_dynamic(
 
     The optimizer warm-starts from the static factors (positions) with zero
     velocities. Item factors stay fixed at their per-bin static estimates.
+    The result's status is "ok" only when the optimizer converged; otherwise
+    it is the optimizer's own status, e.g. "max_iter".
     """
     start = time.perf_counter()
     effective = dataclasses.replace(config, lam=lam)
@@ -136,12 +137,11 @@ def run_dynamic(
         laplacians = build_timeline_laplacians(trust)
     problem = SmootherProblem(split.train, factors, laplacians, effective)
 
-    x0 = pack_state(
-        [(np.zeros((factors.m, config.k)), factors[t].U) for t in range(factors.N)]
-    ).x
+    x0 = SmootherState(x=np.zeros(problem.state_size), N=factors.N, m=factors.m, k=config.k)
+    x0.blocks[:, 1] = [pair.U for pair in factors]
     result = lbfgs_minimize(
         lambda x: objective_and_gradient(problem, x),
-        x0,
+        x0.x,
         memory=config.lbfgs_memory,
         max_iter=config.max_iter,
         grad_tol=config.grad_tol,
@@ -154,9 +154,7 @@ def run_dynamic(
         ]
     )
     per_bin, weighted = evaluate_rmse(smoothed, split.test)
-    status = "ok" if result.status in ("converged", "max_iter") else result.status
-    if result.status == "max_iter":
-        logger.info("optimizer hit max_iter=%d (||g||=%.3e)", config.max_iter, result.grad_norm)
+    status = "ok" if result.converged else result.status
     return ExperimentResult(
         model="dynamic" if lam == 0 else "dynamic_social",
         k=config.k,
@@ -388,62 +386,6 @@ def synth_generate(
     split = split_train_test(timeline, fraction, seed)
     truth = SynthTruth(positions=positions, velocities=velocities, item_factors=V)
     return split, trust, truth
-
-
-@dataclass(frozen=True)
-class OverlapStats:
-    """Agreement between trust edges and latent-similarity edges."""
-
-    n_sampled: int
-    n_trust: int
-    n_similarity: int
-    n_common: int
-    jaccard: float
-
-
-def graph_overlap(
-    trust_edges: tuple[np.ndarray, np.ndarray],
-    factors: FactorPair,
-    threshold: float,
-    sample_users: int,
-    seed: int = 0,
-) -> OverlapStats:
-    """Jaccard overlap of trust edges with inner-product similarity edges.
-
-    ``sample_users`` users are sampled without replacement; similarity puts
-    an edge between sampled users i < j when ``<U_i, U_j> > threshold``.
-    Trust edges are restricted to the sampled set. Two empty edge sets count
-    as identical (Jaccard 1).
-    """
-    m = factors.U.shape[0]
-    if not 1 <= sample_users <= m:
-        raise ValueError(f"sample_users must be in [1, {m}], got {sample_users}")
-    rng = np.random.default_rng(seed)
-    sampled = np.sort(rng.choice(m, size=sample_users, replace=False))
-    in_sample = {int(u): idx for idx, u in enumerate(sampled)}
-
-    Us = factors.U[sampled]
-    G = Us @ Us.T
-    iu, ju = np.triu_indices(sample_users, k=1)
-    mask = G[iu, ju] > threshold
-    similarity = {(int(sampled[a]), int(sampled[b])) for a, b in zip(iu[mask], ju[mask])}
-
-    rows, cols = trust_edges
-    trust = {
-        (int(a), int(b)) if a < b else (int(b), int(a))
-        for a, b in zip(rows, cols)
-        if int(a) in in_sample and int(b) in in_sample and a != b
-    }
-    common = trust & similarity
-    union = trust | similarity
-    jaccard = 1.0 if not union else len(common) / len(union)
-    return OverlapStats(
-        n_sampled=sample_users,
-        n_trust=len(trust),
-        n_similarity=len(similarity),
-        n_common=len(common),
-        jaccard=jaccard,
-    )
 
 
 def random_problem(

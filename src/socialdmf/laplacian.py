@@ -8,28 +8,32 @@ keeps it exactly non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
-from .domain import SmootherState, TrustTimeline
+if TYPE_CHECKING:
+    from .domain import TrustTimeline
 
 
-@dataclass(frozen=True)
 class LaplacianOperator:
     """One bin's Laplacian, stored as adjacency plus degree vector.
 
-    ``rows``/``cols``/``weights`` hold the upper-triangle edge list used by
-    the quadratic form.
+    Built by :class:`~socialdmf.domain.TrustTimeline` from an adjacency it
+    has already validated (symmetric, non-negative, zero diagonal); the CSR
+    matrix is shared with the timeline, not copied. ``rows``/``cols``/
+    ``weights`` hold the upper-triangle edge list (i < j) used by the
+    quadratic form.
     """
 
-    adjacency: sp.csr_matrix
-    degrees: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
+    def __init__(self, adjacency: sp.csr_matrix) -> None:
+        self.adjacency = adjacency
+        self.degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+        upper = sp.triu(adjacency, k=1).tocoo()
+        self.rows = upper.row.astype(np.int64)
+        self.cols = upper.col.astype(np.int64)
+        self.weights = upper.data
 
     @property
     def m(self) -> int:
@@ -38,35 +42,6 @@ class LaplacianOperator:
     @property
     def edge_count(self) -> int:
         return self.rows.size
-
-
-def build_laplacian(graph: Union[sp.spmatrix, np.ndarray]) -> LaplacianOperator:
-    """Wrap one bin's adjacency matrix as a Laplacian operator.
-
-    Parameters
-    ----------
-    graph : sparse or dense square matrix
-        Symmetric, non-negative, zero-diagonal adjacency.
-    """
-    W = sp.csr_matrix(graph, dtype=np.float64)
-    if W.shape[0] != W.shape[1]:
-        raise ValueError(f"adjacency must be square, got {W.shape}")
-    if W.nnz and W.data.min() < 0:
-        raise ValueError("negative edge weight")
-    if abs(W - W.T).nnz:
-        raise ValueError("adjacency not symmetric")
-    if np.any(W.diagonal() != 0):
-        raise ValueError("nonzero diagonal (self-loop)")
-    W.eliminate_zeros()
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    upper = sp.triu(W, k=1).tocoo()
-    return LaplacianOperator(
-        adjacency=W,
-        degrees=degrees,
-        rows=upper.row.astype(np.int64),
-        cols=upper.col.astype(np.int64),
-        weights=upper.data.copy(),
-    )
 
 
 def apply_laplacian(op: LaplacianOperator, U: np.ndarray) -> np.ndarray:
@@ -92,25 +67,9 @@ def laplacian_quadratic(op: LaplacianOperator, U: np.ndarray) -> float:
     return float(op.weights @ np.einsum("ek,ek->e", diff, diff))
 
 
-def apply_social_block(trust: TrustTimeline, state: SmootherState) -> np.ndarray:
-    """Apply the block-diagonal social operator to a full smoother state.
-
-    Velocity blocks map to zero; the position block of bin ``t`` maps to
-    ``L_t @ U_t``. Returns a flat vector with the same layout as ``state.x``.
-    """
-    if trust.N != state.N or trust.m != state.m:
-        raise ValueError(
-            f"trust timeline is ({trust.N} bins, {trust.m} users), "
-            f"state is ({state.N} bins, {state.m} users)"
-        )
-    out = np.zeros_like(state.x)
-    shaped = SmootherState(x=out, N=state.N, m=state.m, k=state.k)
-    for t in range(state.N):
-        op = build_laplacian(trust.graph(t))
-        shaped.position(t)[:] = apply_laplacian(op, state.position(t))
-    return out
-
-
 def build_timeline_laplacians(trust: TrustTimeline) -> list[LaplacianOperator]:
-    """One Laplacian operator per bin of a trust timeline."""
-    return [build_laplacian(trust.graph(t)) for t in range(trust.N)]
+    """The per-bin Laplacian operators of a trust timeline.
+
+    The timeline owns them; every call returns the same operator objects.
+    """
+    return list(trust.laplacians)

@@ -138,7 +138,6 @@ def lbfgs_minimize(
     memory: int = 10,
     max_iter: int = 500,
     grad_tol: float = 1e-6,
-    trace_path=None,
 ) -> MinimizeResult:
     """Minimize a smooth function with limited-memory BFGS.
 
@@ -154,8 +153,6 @@ def lbfgs_minimize(
         Iteration cap.
     grad_tol : float
         Stop once ``||grad|| / max(1, ||x||) <= grad_tol``.
-    trace_path : path-like, optional
-        When given, the iteration trace is also written there as CSV.
 
     Returns
     -------
@@ -225,13 +222,10 @@ def lbfgs_minimize(
 
     if status == "max_iter" and gnorm / max(1.0, float(np.linalg.norm(x))) <= grad_tol:
         status = "converged"
-    result = MinimizeResult(
+    return MinimizeResult(
         x=x, f=f, grad_norm=gnorm, iterations=iteration, status=status,
         trace=trace, n_evaluations=n_evals,
     )
-    if trace_path is not None:
-        write_trace(trace_path, trace)
-    return result
 
 
 def finite_diff_check(

@@ -31,6 +31,7 @@ from .domain import (
     ProcessNoiseBlock,
     RatingsTimeline,
     SmootherConfig,
+    SmootherState,
     process_noise_block,
 )
 from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
@@ -98,6 +99,7 @@ class SmootherProblem:
         if x0_position.shape != (self.m, self.k):
             raise ValueError(f"anchor position must be {self.m}x{self.k}, got {x0_position.shape}")
         self.x0_position = x0_position
+        self.z = np.concatenate([train.bin(t)[2] for t in range(self.N)])
 
         # Per-bin scatter matrices turn a residual vector into its adjoint
         # contribution on the position block with one sparse product.
@@ -118,23 +120,10 @@ class SmootherProblem:
     def total_observations(self) -> int:
         return self.train.total()
 
-    # Internal views -------------------------------------------------------
 
-    def _as_bins(self, x: np.ndarray) -> np.ndarray:
-        """Reshape a flat state to (N, 2, m*k): axis 1 is (velocity, position)."""
-        return x.reshape(self.N, 2, self.m * self.k)
-
-    def _position(self, x: np.ndarray, t: int) -> np.ndarray:
-        mk = self.m * self.k
-        base = t * 2 * mk + mk
-        return x[base : base + mk].reshape(self.m, self.k)
-
-
-def _check_state(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != problem.state_size:
-        raise ValueError(f"state must be a flat vector of length {problem.state_size}, got shape {x.shape}")
-    return x
+def _blocks(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
+    """Check a flat state against the problem and view it as (N, 2, m, k)."""
+    return SmootherState(x=x, N=problem.N, m=problem.m, k=problem.k).blocks
 
 
 def apply_measurement(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
@@ -142,16 +131,14 @@ def apply_measurement(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
 
     Returns the length-sum(p_t) vector of inner products, bin by bin.
     """
-    x = _check_state(problem, x)
+    X = _blocks(problem, x)
     out = np.empty(problem.total_observations())
     offset = 0
     for t in range(problem.N):
         users, items, _ = problem.train.bin(t)
-        pos = problem._position(x, t)
-        V = problem.factors[t].V
         p = users.size
         if p:
-            out[offset : offset + p] = np.einsum("lk,lk->l", pos[users], V[items])
+            out[offset : offset + p] = np.einsum("lk,lk->l", X[t, 1][users], problem.factors[t].V[items])
         offset += p
     return out
 
@@ -166,14 +153,14 @@ def apply_measurement_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.nda
     if r.ndim != 1 or r.size != problem.total_observations():
         raise ValueError(f"residual must have length {problem.total_observations()}, got shape {r.shape}")
     out = np.zeros(problem.state_size)
+    out_blocks = _blocks(problem, out)
     offset = 0
     for t in range(problem.N):
         users, items, _ = problem.train.bin(t)
         p = users.size
         if p:
-            V = problem.factors[t].V
-            contrib = r[offset : offset + p, None] * V[items]
-            problem._position(out, t)[:] = problem._scatter[t] @ contrib
+            contrib = r[offset : offset + p, None] * problem.factors[t].V[items]
+            out_blocks[t, 1] = problem._scatter[t] @ contrib
         offset += p
     return out
 
@@ -184,9 +171,8 @@ def apply_process(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     Bin 0 maps to itself; bin t maps to ``x_t - G x_{t-1}`` where the
     constant-velocity transition sends (vel, pos) to (vel, pos + dt * vel).
     """
-    x = _check_state(problem, x)
     dt = problem.config.dt
-    X = problem._as_bins(x)
+    X = _blocks(problem, x)
     out = np.empty_like(X)
     out[0] = X[0]
     out[1:, 0] = X[1:, 0] - X[:-1, 0]
@@ -200,9 +186,8 @@ def apply_process_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.ndarray
     Bin N-1 maps to itself; bin t maps to ``r_t - G' r_{t+1}`` where the
     transposed transition sends (vel, pos) to (vel + dt * pos, pos).
     """
-    r = _check_state(problem, r)
     dt = problem.config.dt
-    R = problem._as_bins(r)
+    R = _blocks(problem, r)
     out = np.empty_like(R)
     out[-1] = R[-1]
     out[:-1, 0] = R[:-1, 0] - (R[1:, 0] + dt * R[1:, 1])
@@ -216,9 +201,8 @@ def apply_qinv(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
     Within each bin the 2x2 inverse noise block couples the velocity and
     position coordinates of every (user, latent) pair.
     """
-    r = _check_state(problem, r)
     qi = problem.noise.q_inv
-    R = problem._as_bins(r)
+    R = _blocks(problem, r)
     out = np.empty_like(R)
     out[:, 0] = qi[0, 0] * R[:, 0] + qi[0, 1] * R[:, 1]
     out[:, 1] = qi[1, 0] * R[:, 0] + qi[1, 1] * R[:, 1]
@@ -228,8 +212,7 @@ def apply_qinv(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
 def _process_residual(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     """G x - w, where w anchors bin 0's position to the static initializer."""
     r = apply_process(problem, x)
-    mk = problem.m * problem.k
-    r[mk : 2 * mk] -= problem.x0_position.ravel()
+    _blocks(problem, r)[0, 1] -= problem.x0_position
     return r
 
 
@@ -241,24 +224,12 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     computed along one fixed code path so that every public entry point
     returns bit-identical numbers.
     """
-    x = _check_state(problem, x)
+    X = _blocks(problem, x)
     cfg = problem.config
     sigma2 = cfg.sigma**2
 
-    # Measurement term, keeping per-bin residuals for the adjoint pass.
-    meas = 0.0
-    residuals: list[np.ndarray] = []
-    for t in range(problem.N):
-        users, items, values = problem.train.bin(t)
-        if users.size:
-            pos = problem._position(x, t)
-            V = problem.factors[t].V
-            r_t = np.einsum("lk,lk->l", pos[users], V[items]) - values
-            meas += float(r_t @ r_t)
-        else:
-            r_t = np.empty(0)
-        residuals.append(r_t)
-    meas *= 0.5 / sigma2
+    rm = apply_measurement(problem, x) - problem.z
+    meas = 0.5 / sigma2 * float(rm @ rm)
     if not np.isfinite(meas):
         raise NumericalError("measurement term is non-finite")
 
@@ -273,7 +244,7 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     if use_social:
         quad = 0.0
         for t in range(problem.N):
-            quad += laplacian_quadratic(problem.laplacians[t], problem._position(x, t))
+            quad += laplacian_quadratic(problem.laplacians[t], X[t, 1])
         social = 0.5 * cfg.lam * quad
         if not np.isfinite(social):
             raise NumericalError("social term is non-finite")
@@ -282,19 +253,13 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     if not want_gradient:
         return terms, None
 
-    grad = np.zeros(problem.state_size)
-    for t in range(problem.N):
-        users, items, _ = problem.train.bin(t)
-        if users.size:
-            V = problem.factors[t].V
-            contrib = residuals[t][:, None] * V[items]
-            problem._position(grad, t)[:] = problem._scatter[t] @ contrib
+    grad = apply_measurement_adjoint(problem, rm)
     grad *= 1.0 / sigma2
     grad += apply_process_adjoint(problem, qr)
     if use_social:
+        grad_blocks = _blocks(problem, grad)
         for t in range(problem.N):
-            pos_grad = problem._position(grad, t)
-            pos_grad += cfg.lam * apply_laplacian(problem.laplacians[t], problem._position(x, t))
+            grad_blocks[t, 1] += cfg.lam * apply_laplacian(problem.laplacians[t], X[t, 1])
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient is non-finite")
     return terms, grad

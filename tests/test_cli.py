@@ -76,11 +76,15 @@ def test_factorize_smooth_evaluate_pipeline(synth_dataset, tmp_path, capsys):
     assert factors.N == 3 and factors.k == 2
 
     smooth_dir = tmp_path / "smooth"
-    rc = main([
+    smooth_argv = [
         "smooth", "--data", str(synth_dataset), "--factors", str(static_dir),
-        "--k", "2", "--gamma", "0.5", "--lambda", "0.01", "--max-iter", "80",
-        "--seed", "0", "--out", str(smooth_dir),
-    ])
+        "--k", "2", "--gamma", "0.5", "--lambda", "0.01", "--seed", "0",
+        "--out", str(smooth_dir),
+    ]
+    # A solve cut off by the iteration cap is flagged, not reported as ok.
+    assert main(smooth_argv + ["--max-iter", "80"]) == 1
+    assert kv(out_lines(capsys))["status"] == "max_iter"
+    rc = main(smooth_argv + ["--max-iter", "300"])
     assert rc == 0
     smooth_out = kv(out_lines(capsys))
     assert smooth_out["model"] == "dynamic_social"

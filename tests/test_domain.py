@@ -6,14 +6,11 @@ from socialdmf import (
     FactorPair,
     FactorTimeline,
     NumericalError,
-    RatingObservation,
     RatingsTimeline,
     SmootherConfig,
     SmootherState,
     TrustTimeline,
-    pack_state,
     process_noise_block,
-    unpack_state,
 )
 
 
@@ -44,48 +41,57 @@ def test_noise_block_identity_guard():
         ProcessNoiseBlockBroken(dt=1.0, q=good.q, q_inv=2.0 * good.q_inv)
 
 
+def _pack(blocks):
+    """A state built by writing (velocity, position) pairs into its block view."""
+    N = len(blocks)
+    m, k = blocks[0][0].shape
+    state = SmootherState(x=np.zeros(N * 2 * m * k), N=N, m=m, k=k)
+    for t, (vel, pos) in enumerate(blocks):
+        state.blocks[t, 0] = vel
+        state.blocks[t, 1] = pos
+    return state
+
+
 @pytest.mark.parametrize("N,m,k", [(1, 1, 1), (3, 4, 2), (5, 2, 3)])
 def test_pack_unpack_round_trip(N, m, k):
     rng = np.random.default_rng(7)
     blocks = [(rng.standard_normal((m, k)), rng.standard_normal((m, k))) for _ in range(N)]
-    state = pack_state(blocks)
+    state = _pack(blocks)
     assert state.x.shape == (N * 2 * m * k,)
     for t in range(N):
-        vel, pos = unpack_state(state, t)
-        np.testing.assert_array_equal(vel, blocks[t][0])
-        np.testing.assert_array_equal(pos, blocks[t][1])
+        np.testing.assert_array_equal(state.velocity(t), blocks[t][0])
+        np.testing.assert_array_equal(state.position(t), blocks[t][1])
+    # The views write through to the flat vector.
+    state.position(N - 1)[:] = 0.0
+    np.testing.assert_array_equal(state.x[-m * k :], 0.0)
 
 
 def test_state_index_matches_views():
+    """Coordinate c of user i in part p (0 velocity, 1 position) of bin t
+    sits at flat index ((t * 2 + p) * m + i) * k + c."""
     rng = np.random.default_rng(0)
     N, m, k = 3, 4, 2
-    state = pack_state([(rng.standard_normal((m, k)), rng.standard_normal((m, k))) for _ in range(N)])
+    state = _pack([(rng.standard_normal((m, k)), rng.standard_normal((m, k))) for _ in range(N)])
     for t in range(N):
-        vel, pos = unpack_state(state, t)
-        for i in range(m):
-            for c in range(k):
-                assert state.x[state.index(t, 0, i, c)] == vel[i, c]
-                assert state.x[state.index(t, 1, i, c)] == pos[i, c]
+        for part, view in enumerate((state.velocity(t), state.position(t))):
+            for i in range(m):
+                for c in range(k):
+                    assert state.x[((t * 2 + part) * m + i) * k + c] == view[i, c]
 
 
 def test_state_index_bounds():
     state = SmootherState(x=np.zeros(2 * 2 * 2 * 2), N=2, m=2, k=2)
     with pytest.raises(IndexError):
-        state.index(2, 0, 0, 0)
-    with pytest.raises(IndexError):
-        state.index(0, 2, 0, 0)
-    with pytest.raises(IndexError):
         state.position(5)
+    with pytest.raises(IndexError):
+        state.velocity(2)
+    with pytest.raises(IndexError):
+        state.velocity(-1)
 
 
 def test_state_rejects_wrong_length():
     with pytest.raises(ValueError):
         SmootherState(x=np.zeros(10), N=2, m=2, k=2)
-
-
-def test_pack_rejects_mismatched_blocks():
-    with pytest.raises(ValueError):
-        pack_state([(np.zeros((2, 2)), np.zeros((3, 2)))])
 
 
 def test_ratings_timeline_basics():
@@ -101,19 +107,11 @@ def test_ratings_timeline_basics():
     assert tl.N == 3
     assert tl.counts == [2, 0, 1]
     assert tl.total() == 3
-    obs = list(tl.observations())
-    assert obs[0] == RatingObservation(0, 0, 4.0, 0)
-    assert obs[-1].bin == 2
-
-
-def test_ratings_timeline_round_trip_from_observations():
-    records = [
-        RatingObservation(0, 1, 3.0, 1),
-        RatingObservation(2, 0, 5.0, 0),
-    ]
-    tl = RatingsTimeline.from_observations(3, 2, 2, records)
-    assert tl.p(0) == 1 and tl.p(1) == 1
-    assert list(tl.observations()) == sorted(records, key=lambda r: r.bin)
+    users, items, values = tl.bin(0)
+    np.testing.assert_array_equal(users, [0, 1])
+    np.testing.assert_array_equal(items, [0, 3])
+    np.testing.assert_array_equal(values, [4.0, 2.5])
+    assert tl.p(1) == 0 and tl.p(2) == 1
 
 
 @pytest.mark.parametrize(
@@ -141,7 +139,8 @@ def test_trust_timeline_cumulative_ok():
     tl = TrustTimeline(4, [_adjacency(4, [(0, 1)]), _adjacency(4, [(0, 1), (2, 3)])])
     assert tl.edge_count(0) == 1
     assert tl.edge_count(1) == 2
-    np.testing.assert_array_equal(tl.degrees(1), [1, 1, 1, 1])
+    np.testing.assert_array_equal(tl.laplacians[1].degrees, [1, 1, 1, 1])
+    assert tl.laplacians[1].adjacency is tl.graph(1)
     rows, cols = tl.edges(1)
     assert set(zip(rows, cols)) == {(0, 1), (2, 3)}
 

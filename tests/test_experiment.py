@@ -13,7 +13,6 @@ from socialdmf import (
     build_timeline_laplacians,
     check_gradient,
     evaluate_rmse,
-    graph_overlap,
     merge_split,
     random_problem,
     run_dynamic,
@@ -158,7 +157,7 @@ def test_run_static_basics(small_synth):
 
 def test_run_dynamic_names_models_by_penalty(small_synth):
     split, trust, _ = small_synth
-    config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=60)
+    config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=300)
     plain = run_dynamic(split, trust, config, lam=0.0)
     social = run_dynamic(split, trust, config, lam=0.01)
     assert plain.model == "dynamic"
@@ -190,7 +189,9 @@ def test_run_dynamic_without_trust_at_zero_lambda(small_synth):
     split, _, _ = small_synth
     config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=40)
     result = run_dynamic(split, None, config, lam=0.0)
-    assert result.status == "ok"
+    # 40 iterations do not converge here; the status says so.
+    assert result.status == "max_iter"
+    assert result.iterations == 40
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +222,13 @@ def test_sweep_survives_a_failing_cell(small_synth, caplog):
     config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=20)
     with caplog.at_level(logging.ERROR):
         results = sweep(split, trust, ks=[2], lambdas=[-0.5, 0.01], config=config)
-    assert len(results) == 4
-    bad = [r for r in results if r.status.startswith("error")]
-    good = [r for r in results if r.status == "ok"]
-    assert len(bad) == 1 and bad[0].lam == -0.5
-    assert len(good) == 3
+    assert [(r.model, r.lam) for r in results] == [
+        ("static", None), ("dynamic", 0.0), ("dynamic_social", -0.5), ("dynamic_social", 0.01),
+    ]
+    # 20 iterations do not converge; only the invalid weight is an error.
+    statuses = [r.status for r in results]
+    assert statuses[:2] == ["ok", "max_iter"] and statuses[3] == "max_iter"
+    assert statuses[2].startswith("error")
 
 
 def test_sweep_threads_match_sequential(small_synth):
@@ -252,46 +255,6 @@ def test_write_results_csv_handles_nan(tmp_path):
     assert rows[1][0] == "static"
     assert rows[1][3] == "nan"
     assert rows[1][-1] == "error: boom"
-
-
-# ---------------------------------------------------------------------------
-# Graph overlap
-
-
-def test_graph_overlap_planted_match():
-    U = np.zeros((4, 2))
-    U[0] = [10.0, 0.0]
-    U[1] = [10.0, 0.0]
-    U[2] = [0.0, 0.1]
-    U[3] = [0.1, 0.0]
-    factors = FactorPair(U=U, V=np.ones((3, 2)))
-    trust = (np.array([0]), np.array([1]))
-    stats = graph_overlap(trust, factors, threshold=50.0, sample_users=4, seed=0)
-    assert stats.n_trust == 1 and stats.n_similarity == 1 and stats.n_common == 1
-    assert stats.jaccard == 1.0
-
-
-def test_graph_overlap_disjoint_sets():
-    U = np.zeros((4, 2))
-    U[2] = [10.0, 0.0]
-    U[3] = [10.0, 0.0]
-    factors = FactorPair(U=U, V=np.ones((3, 2)))
-    trust = (np.array([0]), np.array([1]))
-    stats = graph_overlap(trust, factors, threshold=50.0, sample_users=4, seed=0)
-    assert stats.n_common == 0
-    assert stats.jaccard == 0.0
-
-
-def test_graph_overlap_both_empty_counts_as_full_agreement():
-    factors = FactorPair(U=np.zeros((5, 2)), V=np.ones((2, 2)))
-    stats = graph_overlap((np.array([]), np.array([])), factors, 1.0, 5)
-    assert stats.jaccard == 1.0
-
-
-def test_graph_overlap_validates_sample_size():
-    factors = FactorPair(U=np.zeros((3, 2)), V=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        graph_overlap((np.array([]), np.array([])), factors, 1.0, 4)
 
 
 # ---------------------------------------------------------------------------

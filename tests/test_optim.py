@@ -113,7 +113,8 @@ def test_parameter_validation():
 def test_trace_csv_round_trip(tmp_path):
     evaluate, _, _, _ = quadratic_problem(5, seed=9)
     path = tmp_path / "trace.csv"
-    result = lbfgs_minimize(evaluate, np.ones(5), grad_tol=1e-9, trace_path=path)
+    result = lbfgs_minimize(evaluate, np.ones(5), grad_tol=1e-9)
+    write_trace(path, result.trace)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "f", "grad_norm", "step"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from socialdmf import (
     FactorPair,
@@ -8,6 +9,8 @@ from socialdmf import (
     RatingsTimeline,
     SmootherConfig,
     SmootherProblem,
+    SmootherState,
+    TrustTimeline,
     build_timeline_laplacians,
     apply_measurement,
     apply_measurement_adjoint,
@@ -32,10 +35,39 @@ def tiny_problem(seed=0, lam=0.01, sigma=1.0, dt=1.0, m=5, n=4, k=2, N=3, p=6):
     )
 
 
+def _edge_case_problem(case, seed, lam, sigma, dt):
+    """A tiny problem, optionally edited into one of the edge cases."""
+    problem = tiny_problem(seed=seed, lam=lam, sigma=sigma, dt=dt, N=1 if case == "N=1" else 3)
+    bins = [problem.train.bin(t) for t in range(problem.N)]
+    laplacians = problem.laplacians
+    if case == "empty bin":
+        bins[1] = ([], [], [])
+    elif case == "unrated user":
+        bins = [tuple(a[users != 0] for a in (users, items, values)) for users, items, values in bins]
+    elif case == "edgeless bin":
+        later = [op.adjacency for op in laplacians[1:]]
+        laplacians = build_timeline_laplacians(
+            TrustTimeline(problem.m, [sp.csr_matrix((problem.m, problem.m))] + later)
+        )
+    train = RatingsTimeline(problem.m, problem.n, bins)
+    return SmootherProblem(train, problem.factors, laplacians, problem.config)
+
+
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("lam,sigma,dt", [(0.0, 1.0, 1.0), (0.05, 0.7, 1.0), (1.0, 1.0, 2.0)])
-def test_objective_and_gradient_match_dense(seed, lam, sigma, dt):
-    problem = tiny_problem(seed=seed, lam=lam, sigma=sigma, dt=dt)
+@pytest.mark.parametrize(
+    "lam,sigma,dt,case",
+    [
+        pytest.param(0.0, 1.0, 1.0, None, id="0.0-1.0-1.0"),
+        pytest.param(0.05, 0.7, 1.0, None, id="0.05-0.7-1.0"),
+        pytest.param(1.0, 1.0, 2.0, None, id="1.0-1.0-2.0"),
+        pytest.param(0.05, 0.7, 1.0, "N=1", id="N=1"),
+        pytest.param(0.05, 0.7, 1.0, "empty bin", id="empty-bin"),
+        pytest.param(0.05, 0.7, 1.0, "unrated user", id="unrated-user"),
+        pytest.param(0.3, 1.0, 1.0, "edgeless bin", id="edgeless-bin"),
+    ],
+)
+def test_objective_and_gradient_match_dense(seed, lam, sigma, dt, case):
+    problem = _edge_case_problem(case, seed, lam, sigma, dt)
     rng = np.random.default_rng(100 + seed)
     x = rng.standard_normal(problem.state_size)
     f = objective(problem, x)
@@ -44,6 +76,8 @@ def test_objective_and_gradient_match_dense(seed, lam, sigma, dt):
     g_dense = oracles.dense_gradient(problem, x)
     np.testing.assert_allclose(f, f_dense, rtol=1e-10)
     np.testing.assert_allclose(g, g_dense, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(g_dense).max()))
+    r = apply_measurement(problem, x) - oracles.dense_z(problem)
+    assert objective_terms(problem, x)[0] == 0.5 / sigma**2 * float(r @ r)
 
 
 def test_fused_call_is_bit_identical_to_separate_calls():
@@ -117,15 +151,21 @@ def test_objective_terms_nonnegative_and_named():
 def test_social_term_scales_exactly_with_lambda():
     base = tiny_problem(seed=4, lam=0.0)
     lam = 0.37
+    trust = _trust_from_problem(base)
+    laplacians = build_timeline_laplacians(trust)
+    # The timeline owns its operators: every call hands out the same objects.
+    assert len(laplacians) == trust.N
+    assert all(a is b for a, b in zip(laplacians, trust.laplacians))
+    assert all(a is b for a, b in zip(laplacians, build_timeline_laplacians(trust)))
     social_problem = SmootherProblem(
-        base.train, base.factors,
-        build_timeline_laplacians(_trust_from_problem(base)),
+        base.train, base.factors, laplacians,
         SmootherConfig(k=base.k, lam=lam, sigma=base.config.sigma, seed=0),
         x0_position=base.x0_position,
     )
     x = np.random.default_rng(8).standard_normal(base.state_size)
+    state = SmootherState(x=x, N=base.N, m=base.m, k=base.k)
     quad = sum(
-        laplacian_quadratic(op, social_problem._position(x, t))
+        laplacian_quadratic(op, state.position(t))
         for t, op in enumerate(social_problem.laplacians)
     )
     _, _, social = objective_terms(social_problem, x)
@@ -139,9 +179,6 @@ def test_social_term_scales_exactly_with_lambda():
 
 def _trust_from_problem(problem):
     """Rebuild a trust timeline matching the problem's user count."""
-    import scipy.sparse as sp
-    from socialdmf import TrustTimeline
-
     rng = np.random.default_rng(77)
     m = problem.m
     W = np.zeros((m, m))
@@ -177,14 +214,12 @@ def test_anchor_defaults_to_first_bin_static_positions():
     np.testing.assert_array_equal(problem.x0_position, problem.factors[0].U)
     # At x = (zero velocities, static positions), bin 0's process residual
     # vanishes, so the process term only sees later transitions.
-    from socialdmf import pack_state
-
-    x = pack_state(
-        [(np.zeros((problem.m, problem.k)), problem.factors[t].U) for t in range(problem.N)]
-    ).x
-    rp = apply_process(problem, x)
-    rp[problem.m * problem.k : 2 * problem.m * problem.k] -= problem.x0_position.ravel()
-    np.testing.assert_allclose(rp[: 2 * problem.m * problem.k], 0.0, atol=1e-14)
+    layout = dict(N=problem.N, m=problem.m, k=problem.k)
+    x = SmootherState(x=np.zeros(problem.state_size), **layout)
+    x.blocks[:, 1] = [pair.U for pair in problem.factors]
+    rp = SmootherState(x=apply_process(problem, x.x), **layout)
+    rp.blocks[0, 1] -= problem.x0_position
+    np.testing.assert_allclose(rp.blocks[0], 0.0, atol=1e-14)
 
 
 def test_non_finite_state_raises_named_error():
