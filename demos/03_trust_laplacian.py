@@ -10,7 +10,6 @@ everyone toward a single point, which is the overshoot regime.
 import argparse
 
 import numpy as np
-import scipy.sparse as sp
 
 from socialdmf import (
     SmootherConfig,
@@ -23,7 +22,7 @@ from socialdmf import (
 )
 
 
-def two_cluster_graph(m):
+def two_cluster_edges(m):
     """Dense friendships inside each half, a single bridge between them."""
     half = m // 2
     rows, cols = [], []
@@ -36,8 +35,7 @@ def two_cluster_graph(m):
                     cols.append(j)
     rows.append(0)
     cols.append(half)
-    W = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(m, m))
-    return W + W.T
+    return rows, cols
 
 
 def neighbor_gap(trust, U):
@@ -55,7 +53,7 @@ def main():
     rng = np.random.default_rng(args.seed)
 
     m = 10
-    (op,) = build_timeline_laplacians(TrustTimeline(m, [two_cluster_graph(m)]))
+    (op,) = build_timeline_laplacians(TrustTimeline.from_edges(m, [two_cluster_edges(m)]))
     aligned = np.repeat(rng.standard_normal((2, 3)), m // 2, axis=0)
     scrambled = rng.standard_normal((m, 3))
     print("disagreement energy tr(U'LU):")

@@ -138,6 +138,15 @@ def _print_rmse(per_bin, weighted) -> None:
     print(f"rmse_weighted={weighted:.6f}")
 
 
+def _print_dataset(ratings, trust, out) -> None:
+    print(f"m={ratings.m}")
+    print(f"n={ratings.n}")
+    print(f"N={ratings.N}")
+    print(f"ratings={ratings.total()}")
+    print(f"edges={trust.edge_count(trust.N - 1)}")
+    print(f"wrote {out}")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     fmt = TableFormat(delimiter=args.delimiter, date_format=args.date_format)
@@ -148,12 +157,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs, args.date_format)
     timeline, trust, user_map, item_map = bin_timelines(kept, edges, cutoffs)
     save_dataset(args.out, timeline, trust, user_map, item_map)
-    print(f"m={timeline.m}")
-    print(f"n={timeline.n}")
-    print(f"N={timeline.N}")
-    print(f"ratings={timeline.total()}")
-    print(f"edges={trust.edge_count(trust.N - 1)}")
-    print(f"wrote {args.out}")
+    _print_dataset(timeline, trust, args.out)
     return 0
 
 
@@ -173,12 +177,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for t, U in enumerate(truth.positions):
         write_matrix(out / f"truth_U_{t}.mat", U)
     write_matrix(out / "truth_V.mat", truth.item_factors)
-    print(f"m={merged.m}")
-    print(f"n={merged.n}")
-    print(f"N={merged.N}")
-    print(f"ratings={merged.total()}")
-    print(f"edges={trust.edge_count(trust.N - 1)}")
-    print(f"wrote {out}")
+    _print_dataset(merged, trust, out)
     return 0
 
 
@@ -248,9 +247,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         split, trust, ks, lambdas, config,
         csv_path=args.out, n_jobs=res.get("threads", 1, int),
     )
-    failures = [r for r in results if r.status.startswith("error")]
+    failures = [r for r in results if r.status != "ok"]
     best = min(
-        (r for r in results if np.isfinite(r.rmse_weighted)),
+        (r for r in results if r.status == "ok" and np.isfinite(r.rmse_weighted)),
         key=lambda r: r.rmse_weighted,
         default=None,
     )
@@ -262,7 +261,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"rmse_weighted={best.rmse_weighted:.6f}")
     print(f"wrote {args.out}")
     if failures:
-        logger.error("%d of %d runs failed", len(failures), len(results))
+        logger.error("%d of %d runs failed or did not converge", len(failures), len(results))
         return 1
     return 0
 

@@ -97,7 +97,7 @@ class TrustTimeline:
     Adjacency matrices are symmetric, zero-diagonal, and non-negative.
     The timeline validates each bin once and owns that bin's
     :class:`~socialdmf.laplacian.LaplacianOperator`, built on the same CSR
-    matrix.
+    matrix. :meth:`from_edges` builds the adjacencies from edge lists.
     """
 
     def __init__(self, m: int, graphs: Sequence[sp.spmatrix]) -> None:
@@ -124,6 +124,23 @@ class TrustTimeline:
             b = self.graph(t + 1).astype(bool)
             if (a > b).nnz:
                 raise ValueError(f"bin {t + 1}: edge set lost edges present in bin {t}")
+
+    @classmethod
+    def from_edges(cls, m: int, per_bin_edges: Sequence[tuple]) -> "TrustTimeline":
+        """Build a timeline from one ``(rows, cols)`` pair of index arrays per bin.
+
+        Pair ``(rows[e], cols[e])`` becomes the undirected edge between those
+        users, so bin ``t``'s adjacency is symmetric with weight one on every
+        edge, however often its pair repeats. Validation is the constructor's.
+        """
+        graphs = []
+        for rows, cols in per_bin_edges:
+            i = np.concatenate([rows, cols]).astype(np.int64)
+            j = np.concatenate([cols, rows]).astype(np.int64)
+            W = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(m, m))
+            W.data[:] = 1.0
+            graphs.append(W)
+        return cls(m, graphs)
 
     @property
     def N(self) -> int:

@@ -89,6 +89,25 @@ def evaluate_rmse(factors: FactorTimeline, test: RatingsTimeline) -> tuple[list[
     return per_bin, float(np.sqrt(weighted_sum / total))
 
 
+def _model_name(lam: Optional[float]) -> str:
+    """Model name for a social weight: none is static, zero is dynamic."""
+    if lam is None:
+        return "static"
+    return "dynamic" if lam == 0 else "dynamic_social"
+
+
+def _failed_run(
+    lam: Optional[float], config: SmootherConfig, N: int, exc: Exception
+) -> ExperimentResult:
+    """The row a sweep records for a cell whose run raised ``exc``."""
+    return ExperimentResult(
+        model=_model_name(lam), k=config.k, lam=lam, rmse_per_bin=[float("nan")] * N,
+        rmse_weighted=float("nan"), wall_seconds=0.0,
+        config=dataclasses.asdict(config), seed=config.seed,
+        status=f"error: {exc}",
+    )
+
+
 def run_static(
     split: SplitTimeline,
     config: SmootherConfig,
@@ -156,7 +175,7 @@ def run_dynamic(
     per_bin, weighted = evaluate_rmse(smoothed, split.test)
     status = "ok" if result.converged else result.status
     return ExperimentResult(
-        model="dynamic" if lam == 0 else "dynamic_social",
+        model=_model_name(lam),
         k=config.k,
         lam=lam,
         rmse_per_bin=per_bin,
@@ -186,6 +205,7 @@ def sweep(
     rank. A failing run is recorded with an error status and the sweep
     continues. Row order is deterministic regardless of ``n_jobs``.
     """
+    cells: list[Optional[float]] = [None, 0.0] + [float(l) for l in lambdas]
     results: list[ExperimentResult] = []
     for k in ks:
         config_k = dataclasses.replace(config, k=int(k))
@@ -193,18 +213,7 @@ def sweep(
             factors = init_timeline(split, config_k, n_jobs=n_jobs)
         except Exception as exc:  # noqa: BLE001 - a sweep must survive one bad cell
             logger.error("init failed for k=%d: %s", k, exc)
-            nan_bins = [float("nan")] * split.train.N
-            for model, lam in [("static", None), ("dynamic", 0.0)] + [
-                ("dynamic_social", lam) for lam in lambdas
-            ]:
-                results.append(
-                    ExperimentResult(
-                        model=model, k=int(k), lam=lam, rmse_per_bin=nan_bins,
-                        rmse_weighted=float("nan"), wall_seconds=0.0,
-                        config=dataclasses.asdict(config_k), seed=config.seed,
-                        status=f"error: {exc}",
-                    )
-                )
+            results.extend(_failed_run(lam, config_k, split.train.N, exc) for lam in cells)
             continue
 
         def one_run(lam: Optional[float]) -> ExperimentResult:
@@ -214,15 +223,8 @@ def sweep(
                 return run_dynamic(split, trust, config_k, lam, factors=factors)
             except Exception as exc:  # noqa: BLE001
                 logger.error("run failed for k=%d lam=%s: %s", k, lam, exc)
-                return ExperimentResult(
-                    model="static" if lam is None else ("dynamic" if lam == 0 else "dynamic_social"),
-                    k=int(k), lam=lam, rmse_per_bin=[float("nan")] * split.train.N,
-                    rmse_weighted=float("nan"), wall_seconds=0.0,
-                    config=dataclasses.asdict(config_k), seed=config.seed,
-                    status=f"error: {exc}",
-                )
+                return _failed_run(lam, config_k, split.train.N, exc)
 
-        cells: list[Optional[float]] = [None, 0.0] + [float(l) for l in lambdas]
         if n_jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
                 results.extend(pool.map(one_run, cells))
@@ -281,6 +283,16 @@ def _laplacian_spectral_bound(W: sp.csr_matrix) -> float:
     return float(val[0])
 
 
+def _random_edges(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+    """``count`` distinct random edges (i < j) among ``m`` users, sorted, as a (count, 2) array."""
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < count:
+        a, b = rng.integers(0, m, size=2)
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+
+
 def synth_generate(
     m: int,
     n: int,
@@ -326,25 +338,11 @@ def synth_generate(
     rng = np.random.default_rng(seed)
 
     # Random undirected edges with uniformly random creation bins.
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < trust_edges:
-        a, b = rng.integers(0, m, size=2)
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    edge_list = sorted(edges)
-    creation = rng.integers(0, N, size=len(edge_list))
-    graphs = []
-    for t in range(N):
-        active = [e for e, c in zip(edge_list, creation) if c <= t]
-        if active:
-            arr = np.asarray(active, dtype=np.int64)
-            rows = np.concatenate([arr[:, 0], arr[:, 1]])
-            cols = np.concatenate([arr[:, 1], arr[:, 0]])
-            W = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))
-        else:
-            W = sp.csr_matrix((m, m))
-        graphs.append(W)
-    trust = TrustTimeline(m, graphs)
+    pairs = _random_edges(rng, m, trust_edges)
+    creation = rng.integers(0, N, size=len(pairs))
+    trust = TrustTimeline.from_edges(
+        m, [(pairs[creation <= t, 0], pairs[creation <= t, 1]) for t in range(N)]
+    )
 
     if eta > 0:
         lam_max = _laplacian_spectral_bound(trust.graph(N - 1))
@@ -430,20 +428,8 @@ def random_problem(
         )
     factors = FactorTimeline(pairs)
 
-    edges: set[tuple[int, int]] = set()
-    max_pairs = m * (m - 1) // 2
-    while len(edges) < min(trust_edges, max_pairs):
-        a, b = rng.integers(0, m, size=2)
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    if edges:
-        arr = np.asarray(sorted(edges), dtype=np.int64)
-        rows = np.concatenate([arr[:, 0], arr[:, 1]])
-        cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        W = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))
-    else:
-        W = sp.csr_matrix((m, m))
-    trust = TrustTimeline(m, [W] * N)
+    pairs = _random_edges(rng, m, min(trust_edges, m * (m - 1) // 2))
+    trust = TrustTimeline.from_edges(m, [(pairs[:, 0], pairs[:, 1])] * N)
 
     config = SmootherConfig(k=k, sigma=sigma, dt=dt, lam=lam, seed=seed)
     laplacians = build_timeline_laplacians(trust) if lam > 0 else None

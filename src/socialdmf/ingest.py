@@ -1,9 +1,11 @@
 """Parsing, filtering, time-binning, and splitting of rating and trust data.
 
 Raw dumps are delimiter-separated text files described by a small
-:class:`TableFormat`. Timestamps are integer days since 1970-01-01
-throughout. Binning assigns a record with timestamp tau to bin
-``#{cutoffs <= tau}``, so ``len(cutoffs) + 1`` bins cover the whole line.
+:class:`TableFormat`. The parsers return columnar tables: numpy structured
+arrays with one record per row and one named field per column. Timestamps
+are integer days since 1970-01-01 throughout. Binning assigns a record with
+timestamp tau to bin ``#{cutoffs <= tau}``, so ``len(cutoffs) + 1`` bins
+cover the whole line.
 Trust graphs are cumulative: an edge enters at its creation bin and persists
 in every later bin.
 
@@ -17,14 +19,11 @@ from __future__ import annotations
 import datetime
 import logging
 import math
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import RatingsTimeline, TrustTimeline
 
@@ -34,6 +33,10 @@ _EPOCH = datetime.date(1970, 1, 1)
 
 _RATING_COLUMNS = ("user", "item", "value", "date")
 _TRUST_COLUMNS = ("user_a", "user_b", "date")
+_RATING_SCHEMA = (
+    ("user_id", str), ("item_id", str), ("value", np.float64), ("timestamp", np.int64)
+)
+_TRUST_SCHEMA = (("user_a", str), ("user_b", str), ("timestamp", np.int64))
 
 
 class DataFormatError(ValueError):
@@ -54,24 +57,12 @@ class TableFormat:
     date_format: str = "iso"
 
 
-@dataclass(frozen=True)
-class RawRating:
-    user_id: str
-    item_id: str
-    value: float
-    timestamp: int
-
-
-@dataclass(frozen=True)
-class RawTrustEdge:
-    user_a: str
-    user_b: str
-    timestamp: int
-
-
 def _parse_date(token: str, date_format: str) -> int:
     if date_format == "days":
-        return int(token)
+        days = int(token)
+        if not -(2**63) <= days < 2**63:
+            raise ValueError(f"day number {days} out of range")
+        return days
     if date_format == "iso":
         day = datetime.date.fromisoformat(token.strip())
     else:
@@ -79,13 +70,19 @@ def _parse_date(token: str, date_format: str) -> int:
     return (day - _EPOCH).days
 
 
-def _parse_table(path, fmt: TableFormat, default_columns, required):
+def _read_table(path, fmt: TableFormat, default_columns, schema, convert) -> np.ndarray:
+    """Read a delimited file into a table with one record per well-formed row.
+
+    ``convert`` maps a row's fields, in ``default_columns`` order, to one
+    record; a row with the wrong field count, or on which ``convert``
+    raises ValueError or OverflowError, is malformed.
+    """
     columns = fmt.columns if fmt.columns is not None else default_columns
-    missing = set(required) - set(columns)
+    missing = set(default_columns) - set(columns)
     if missing:
         raise DataFormatError(f"format columns {columns} lack required fields {sorted(missing)}")
-    index = {name: columns.index(name) for name in required}
-    rows = []
+    index = [columns.index(name) for name in default_columns]
+    records = []
     malformed = 0
     first_bad: list[int] = []
     total = 0
@@ -101,18 +98,10 @@ def _parse_table(path, fmt: TableFormat, default_columns, required):
                 if len(first_bad) < 5:
                     first_bad.append(line_no)
                 continue
-            rows.append(tuple(fields[index[name]] for name in required))
-    return rows, malformed, first_bad, total
-
-
-def _finish_parse(path, parsed, convert):
-    rows, malformed, first_bad, total = parsed
-    records = []
-    for raw in rows:
-        try:
-            records.append(convert(raw))
-        except (ValueError, OverflowError):
-            malformed += 1
+            try:
+                records.append(convert(*(fields[i] for i in index)))
+            except (ValueError, OverflowError):
+                malformed += 1
     if total and malformed > total / 2:
         raise DataFormatError(
             f"{path}: {malformed} of {total} rows are malformed "
@@ -120,133 +109,123 @@ def _finish_parse(path, parsed, convert):
         )
     if malformed:
         logger.warning("%s: skipped %d malformed rows of %d", path, malformed, total)
-    return records
+    return _table(schema, list(zip(*records)) or [()] * len(schema))
 
 
-def parse_ratings(path, fmt: TableFormat = TableFormat()) -> list[RawRating]:
+def _table(schema, columns) -> np.ndarray:
+    """A record array with one ``(name, dtype)`` field per ``schema`` entry, from ``columns``."""
+    arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(columns, schema)]
+    return np.rec.fromarrays(arrays, names=[name for name, _ in schema])
+
+
+def parse_ratings(path, fmt: TableFormat = TableFormat()) -> np.ndarray:
     """Read ratings (user, item, value, date) from a delimited text file.
 
-    Well-formed rows come back in file order. Malformed rows are counted
-    and logged; more than half malformed raises :class:`DataFormatError`.
+    Returns a structured array with fields ``user_id``, ``item_id`` (str),
+    ``value`` (float64) and ``timestamp`` (int64 days), one record per
+    well-formed row in file order. Malformed rows are counted and logged;
+    more than half malformed raises :class:`DataFormatError`.
     """
-    parsed = _parse_table(path, fmt, _RATING_COLUMNS, _RATING_COLUMNS)
 
-    def convert(raw):
-        user, item, value, date = raw
+    def convert(user, item, value, date):
         v = float(value)
         if not math.isfinite(v):
             raise ValueError("non-finite rating")
-        return RawRating(user, item, v, _parse_date(date, fmt.date_format))
+        return user, item, v, _parse_date(date, fmt.date_format)
 
-    return _finish_parse(path, parsed, convert)
+    return _read_table(path, fmt, _RATING_COLUMNS, _RATING_SCHEMA, convert)
 
 
-def parse_trust(path, fmt: TableFormat = TableFormat()) -> list[RawTrustEdge]:
+def parse_trust(path, fmt: TableFormat = TableFormat()) -> np.ndarray:
     """Read trust edges (user_a, user_b, date) from a delimited text file.
 
-    Undirected duplicates collapse to one edge keeping the earliest date;
-    self-loops are dropped. Malformed handling matches :func:`parse_ratings`.
+    Returns a structured array with fields ``user_a``, ``user_b`` (str) and
+    ``timestamp`` (int64 days). Edges are undirected: each comes back once,
+    smaller id first, with its earliest date, sorted by (user_a, user_b).
+    Self-loops are dropped. Malformed handling matches :func:`parse_ratings`.
     """
-    parsed = _parse_table(path, fmt, _TRUST_COLUMNS, _TRUST_COLUMNS)
 
-    def convert(raw):
-        a, b, date = raw
-        return RawTrustEdge(a, b, _parse_date(date, fmt.date_format))
+    def convert(a, b, date):
+        return a, b, _parse_date(date, fmt.date_format)
 
-    records = _finish_parse(path, parsed, convert)
-    earliest: dict[tuple[str, str], RawTrustEdge] = {}
-    self_loops = 0
-    for edge in records:
-        if edge.user_a == edge.user_b:
-            self_loops += 1
-            continue
-        key = (edge.user_a, edge.user_b) if edge.user_a < edge.user_b else (edge.user_b, edge.user_a)
-        kept = earliest.get(key)
-        if kept is None or edge.timestamp < kept.timestamp:
-            earliest[key] = RawTrustEdge(key[0], key[1], edge.timestamp)
-    if self_loops:
-        logger.warning("%s: dropped %d self-loop edges", path, self_loops)
-    return list(earliest.values())
+    table = _read_table(path, fmt, _TRUST_COLUMNS, _TRUST_SCHEMA, convert)
+    loops = table["user_a"] == table["user_b"]
+    if loops.any():
+        logger.warning("%s: dropped %d self-loop edges", path, int(loops.sum()))
+        table = table[~loops]
+    a, b, timestamps = table["user_a"], table["user_b"], table["timestamp"]
+    low, high = np.where(a < b, a, b), np.where(a < b, b, a)
+    order = np.lexsort((timestamps, high, low))
+    low, high, timestamps = low[order], high[order], timestamps[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
+    return _table(_TRUST_SCHEMA, (low[first], high[first], timestamps[first]))
 
 
-def filter_min_ratings(ratings: Sequence[RawRating], threshold: int) -> list[RawRating]:
-    """Keep only users with strictly more than ``threshold`` ratings."""
+def filter_min_ratings(ratings: np.ndarray, threshold: int) -> np.ndarray:
+    """Keep only users with strictly more than ``threshold`` ratings, in file order."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    counts = Counter(r.user_id for r in ratings)
-    return [r for r in ratings if counts[r.user_id] > threshold]
+    _, user_of_row, counts = np.unique(ratings["user_id"], return_inverse=True, return_counts=True)
+    return ratings[counts[user_of_row] > threshold]
 
 
 def bin_timelines(
-    ratings: Sequence[RawRating],
-    edges: Sequence[RawTrustEdge],
+    ratings: np.ndarray,
+    edges: np.ndarray,
     cutoffs: Sequence[int],
 ) -> tuple[RatingsTimeline, TrustTimeline, dict[str, int], dict[str, int]]:
     """Bin ratings and trust edges into ``len(cutoffs) + 1`` time bins.
 
-    Users and items are mapped to dense indices in lexicographic id order.
-    Within a bin, duplicate (user, item) pairs keep the latest rating.
-    Trust graphs are cumulative with binary weights; edges touching users
-    outside the (post-filter) rating universe are dropped.
+    ``ratings`` and ``edges`` are tables as returned by :func:`parse_ratings`
+    and :func:`parse_trust`. Users and items are mapped to dense indices in
+    lexicographic id order. Within a bin, duplicate (user, item) pairs keep
+    the latest rating. Trust graphs are cumulative with binary weights;
+    edges touching users outside the (post-filter) rating universe are
+    dropped.
 
     Returns
     -------
     (RatingsTimeline, TrustTimeline, user_map, item_map)
     """
-    cutoffs = [int(c) for c in cutoffs]
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
-    if not ratings:
+    cutoffs = np.array([int(c) for c in cutoffs], dtype=np.int64)
+    if np.any(np.diff(cutoffs) <= 0):
+        raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs.tolist()}")
+    if not len(ratings):
         raise DataFormatError("no ratings left after filtering")
-    N = len(cutoffs) + 1
+    N = cutoffs.size + 1
 
-    user_ids = sorted({r.user_id for r in ratings})
-    item_ids = sorted({r.item_id for r in ratings})
-    user_map = {uid: i for i, uid in enumerate(user_ids)}
-    item_map = {iid: j for j, iid in enumerate(item_ids)}
-    m, n = len(user_ids), len(item_ids)
+    user_ids, users = np.unique(ratings["user_id"], return_inverse=True)
+    item_ids, items = np.unique(ratings["item_id"], return_inverse=True)
+    user_map = dict(zip(user_ids.tolist(), range(user_ids.size)))
+    item_map = dict(zip(item_ids.tolist(), range(item_ids.size)))
+    m, n = user_ids.size, item_ids.size
 
     # Latest rating wins within a bin; later file order breaks timestamp ties.
-    latest: list[dict[tuple[int, int], tuple[int, int, float]]] = [{} for _ in range(N)]
-    for order, r in enumerate(ratings):
-        t = bisect_right(cutoffs, r.timestamp)
-        key = (user_map[r.user_id], item_map[r.item_id])
-        kept = latest[t].get(key)
-        if kept is None or (r.timestamp, order) > (kept[0], kept[1]):
-            latest[t][key] = (r.timestamp, order, r.value)
-    bins = []
-    for t in range(N):
-        entries = sorted(latest[t].items())
-        users = np.array([u for (u, _), _ in entries], dtype=np.int64)
-        items = np.array([i for (_, i), _ in entries], dtype=np.int64)
-        values = np.array([rec[2] for _, rec in entries], dtype=np.float64)
-        bins.append((users, items, values))
-    timeline = RatingsTimeline(m, n, bins)
+    # After sorting, the winner is the last row of its (bin, user, item) run.
+    timestamps = ratings["timestamp"]
+    bins = np.searchsorted(cutoffs, timestamps, side="right")
+    order = np.lexsort((np.arange(len(ratings)), timestamps, items, users, bins))
+    bins, users, items = bins[order], users[order], items[order]
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = (bins[1:] != bins[:-1]) | (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    bins, users, items = bins[last], users[last], items[last]
+    values = ratings["value"][order[last]]
+    bounds = np.searchsorted(bins, np.arange(N + 1))
+    timeline = RatingsTimeline(
+        m, n, [(users[a:b], items[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    )
 
-    created: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    dropped = 0
-    for e in edges:
-        a = user_map.get(e.user_a)
-        b = user_map.get(e.user_b)
-        if a is None or b is None:
-            dropped += 1
-            continue
-        created[bisect_right(cutoffs, e.timestamp)].append((a, b))
-    if dropped:
-        logger.warning("dropped %d trust edges with endpoints outside the user universe", dropped)
-    graphs = []
-    cumulative: list[tuple[int, int]] = []
-    for t in range(N):
-        cumulative = cumulative + created[t]
-        if cumulative:
-            arr = np.asarray(cumulative, dtype=np.int64)
-            rows = np.concatenate([arr[:, 0], arr[:, 1]])
-            cols = np.concatenate([arr[:, 1], arr[:, 0]])
-            W = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))
-        else:
-            W = sp.csr_matrix((m, m))
-        graphs.append(W)
-    trust = TrustTimeline(m, graphs)
+    a = np.searchsorted(user_ids, edges["user_a"]).clip(max=m - 1)
+    b = np.searchsorted(user_ids, edges["user_b"]).clip(max=m - 1)
+    inside = (user_ids[a] == edges["user_a"]) & (user_ids[b] == edges["user_b"])
+    if not inside.all():
+        logger.warning(
+            "dropped %d trust edges with endpoints outside the user universe", int((~inside).sum())
+        )
+    created = np.searchsorted(cutoffs, edges["timestamp"][inside], side="right")
+    a, b = a[inside], b[inside]
+    trust = TrustTimeline.from_edges(m, [(a[created <= t], b[created <= t]) for t in range(N)])
     return timeline, trust, user_map, item_map
 
 
@@ -380,28 +359,19 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
     user_map = read_map("users.map")
     item_map = read_map("items.map")
 
+    def read_rows(path, width, dtype):
+        if not path.stat().st_size:
+            return np.empty((0, width), dtype=dtype)
+        return np.loadtxt(path, delimiter="\t", dtype=dtype, ndmin=2)
+
     bins = []
+    edges = []
     for t in range(N):
         path = directory / f"ratings_bin_{t}.tsv"
-        if path.stat().st_size:
-            data = np.loadtxt(path, delimiter="\t", ndmin=2)
-        else:
-            data = np.empty((0, 3))
-        bins.append((data[:, 0].astype(np.int64), data[:, 1].astype(np.int64), data[:, 2]))
+        data = read_rows(path, 3, np.float64)
         if counts and data.shape[0] != counts[t]:
             raise DataFormatError(f"{path}: has {data.shape[0]} rows, meta.txt says {counts[t]}")
-    ratings = RatingsTimeline(m, n, bins)
-
-    graphs = []
-    for t in range(N):
-        path = directory / f"trust_bin_{t}.tsv"
-        if path.stat().st_size:
-            pairs = np.loadtxt(path, delimiter="\t", dtype=np.int64, ndmin=2)
-            rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            W = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m))
-        else:
-            W = sp.csr_matrix((m, m))
-        graphs.append(W)
-    trust = TrustTimeline(m, graphs)
-    return ratings, trust, user_map, item_map
+        bins.append((data[:, 0].astype(np.int64), data[:, 1].astype(np.int64), data[:, 2]))
+        pairs = read_rows(directory / f"trust_bin_{t}.tsv", 2, np.int64)
+        edges.append((pairs[:, 0], pairs[:, 1]))
+    return RatingsTimeline(m, n, bins), TrustTimeline.from_edges(m, edges), user_map, item_map

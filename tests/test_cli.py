@@ -124,15 +124,38 @@ def test_sweep_writes_csv_and_reports_best(synth_dataset, tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     rc = main([
         "sweep", "--data", str(synth_dataset), "--ks", "2", "--lambdas", "0.01,0.1",
-        "--gamma", "0.5", "--max-iter", "40", "--seed", "0", "--out", str(csv_path),
+        "--gamma", "0.5", "--max-iter", "300", "--seed", "0", "--out", str(csv_path),
     ])
-    assert rc == 0
+    assert rc == 0  # every solve converges within 300 iterations (the slowest needs 172)
     stdout = capsys.readouterr().out
     assert "best:" in stdout
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 4  # header + static + dynamic + two social runs
     assert {r[0] for r in rows[1:]} == {"static", "dynamic", "dynamic_social"}
+
+
+def sweep_cell(model, k_field, lam_field=""):
+    """(model, k, lambda) of a sweep output line, lambda as float or None."""
+    lam = lam_field.partition("=")[2]
+    return model, k_field, float(lam) if lam else None
+
+
+def test_sweep_exits_1_when_solves_stop_at_max_iter(synth_dataset, tmp_path, capsys):
+    rc = main([
+        "sweep", "--data", str(synth_dataset), "--ks", "2", "--lambdas", "0.01,0.1",
+        "--gamma", "0.5", "--max-iter", "40", "--seed", "0", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert rc == 1
+    lines = out_lines(capsys)
+    status = {
+        sweep_cell(*line.partition(": ")[0].split()): line.rsplit("[", 1)[1].rstrip("]")
+        for line in lines if line.endswith("]")
+    }
+    assert sorted(status.values()) == ["max_iter", "max_iter", "max_iter", "ok"]
+    best = [line for line in lines if line.startswith("best:")]
+    assert best, "the converged static row is still reported"
+    assert status[sweep_cell(*best[0].split()[1:4])] == "ok"
 
 
 def test_sweep_flags_failing_cells(synth_dataset, tmp_path):
@@ -259,6 +282,18 @@ def test_ingest_mostly_malformed_exits_2(tmp_path, capsys):
         "--cutoffs", "2003-01-01", "--out", str(tmp_path / "d"),
     ])
     assert rc == 2
+
+
+def test_ingest_empty_ratings_exits_2(tmp_path, capsys):
+    _, trust = write_raw_corpus(tmp_path)
+    ratings = tmp_path / "empty.tsv"
+    ratings.write_text("")
+    rc = main([
+        "ingest", "--ratings", str(ratings), "--trust", str(trust),
+        "--cutoffs", "2003-01-01", "--out", str(tmp_path / "d"),
+    ])
+    assert rc == 2
+    assert "no ratings" in capsys.readouterr().err
 
 
 def test_evaluate_missing_dataset_exits_2(tmp_path):

@@ -159,6 +159,32 @@ def test_trust_timeline_rejects_asymmetry_and_loops():
         TrustTimeline(2, [loop])
 
 
+def test_from_edges_builds_symmetric_binary_graphs():
+    # A repeated pair and its reverse both collapse to one weight-one edge.
+    tl = TrustTimeline.from_edges(4, [([0, 0, 1], [1, 1, 0]), ([0, 3], [1, 2])])
+    for t in range(tl.N):
+        W = tl.graph(t)
+        assert (W != W.T).nnz == 0
+        np.testing.assert_array_equal(W.data, 1.0)
+    assert tl.edge_count(0) == 1 and tl.edge_count(1) == 2
+    rows, cols = tl.edges(1)
+    assert set(zip(rows, cols)) == {(0, 1), (2, 3)}
+
+
+def test_from_edges_handles_an_edgeless_bin():
+    none = (np.empty(0, np.int64), np.empty(0, np.int64))
+    tl = TrustTimeline.from_edges(3, [none, ([2], [0])])
+    assert tl.edge_count(0) == 0 and tl.graph(0).nnz == 0
+    assert tl.edge_count(1) == 1
+
+
+def test_from_edges_keeps_the_constructor_checks():
+    with pytest.raises(ValueError, match="diagonal"):
+        TrustTimeline.from_edges(3, [([0, 1], [1, 1])])
+    with pytest.raises(ValueError, match="lost edges"):
+        TrustTimeline.from_edges(3, [([0, 1], [1, 2]), ([0], [1])])
+
+
 def test_factor_pair_validation():
     with pytest.raises(ValueError, match="rank"):
         FactorPair(U=np.zeros((2, 3)), V=np.zeros((4, 2)))
