@@ -219,6 +219,7 @@ def cmd_smooth(args: argparse.Namespace) -> int:
     print(f"model={result.model}")
     print(f"iterations={result.iterations}")
     print(f"status={result.status}")
+    print(f"rel_grad={result.rel_grad:.3e}")
     print(f"wrote {out}")
     if result.status != "ok":
         logger.error("optimizer flagged: %s", result.status)

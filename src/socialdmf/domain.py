@@ -245,10 +245,10 @@ class SmootherConfig:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         for name in ("dt", "sigma", "gamma", "grad_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1 or self.lbfgs_memory < 1:
             raise ValueError("max_iter and lbfgs_memory must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -47,7 +47,11 @@ SWEEP_LAMBDAS = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 @dataclass
 class ExperimentResult:
-    """One model run: scores, timing, and the configuration that produced it."""
+    """One model run: scores, timing, and the configuration that produced it.
+
+    ``rel_grad`` is the smoother's final ``||grad|| / max(1, ||x||)``, the
+    quantity compared with ``grad_tol``; NaN for static and failed runs.
+    """
 
     model: str
     k: int
@@ -59,6 +63,7 @@ class ExperimentResult:
     seed: int
     status: str = "ok"
     iterations: int = 0
+    rel_grad: float = float("nan")
     trace: Optional[list] = field(default=None, repr=False)
     factors: Optional[FactorTimeline] = field(default=None, repr=False)
 
@@ -185,6 +190,7 @@ def run_dynamic(
         seed=config.seed,
         status=status,
         iterations=result.iterations,
+        rel_grad=result.grad_norm / max(1.0, float(np.linalg.norm(result.x))),
         trace=result.trace,
         factors=smoothed,
     )
@@ -239,18 +245,19 @@ def write_results_csv(path, results: Sequence[ExperimentResult], N: int) -> None
     """Write sweep results with one row per run.
 
     Columns: model, k, lambda, rmse_weighted, rmse_bin_0..rmse_bin_{N-1},
-    wall_seconds, seed, status. The lambda cell is empty for static rows.
+    wall_seconds, seed, status, rel_grad. The lambda cell is empty for
+    static rows.
     """
     header = ["model", "k", "lambda", "rmse_weighted"]
     header += [f"rmse_bin_{t}" for t in range(N)]
-    header += ["wall_seconds", "seed", "status"]
+    header += ["wall_seconds", "seed", "status", "rel_grad"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in results:
             row = [r.model, r.k, "" if r.lam is None else repr(float(r.lam)), repr(r.rmse_weighted)]
             row += [repr(v) for v in r.rmse_per_bin]
-            row += [f"{r.wall_seconds:.3f}", r.seed, r.status]
+            row += [f"{r.wall_seconds:.3f}", r.seed, r.status, repr(r.rel_grad)]
             writer.writerow(row)
 
 

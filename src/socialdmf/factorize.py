@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .domain import FactorPair, FactorTimeline, SmootherConfig
 from .ingest import SplitTimeline
@@ -37,30 +38,26 @@ def _ridge_rows(
     """Solve every per-row ridge system (M'M + gamma I) x = M'z exactly.
 
     Row i's system is over its observations; M stacks the corresponding rows
-    of ``other``. Rows without observations get the zero vector. Rows are
-    grouped by observation count so the solves run batched.
+    of ``other``, so a repeated (row, col) pair counts twice. Rows without
+    observations get the zero vector. One sparse product forms every Gram
+    matrix and one batched call solves them.
     """
     k = other.shape[1]
     out = np.zeros((n_rows, k))
     if rows.size == 0:
         return out
-    order = np.argsort(rows, kind="stable")
-    c_sorted = cols[order]
-    v_sorted = vals[order]
-    counts = np.bincount(rows, minlength=n_rows)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    eye = np.arange(k)
-    for count in np.unique(counts[counts > 0]):
-        ids = np.nonzero(counts == count)[0]
-        gather = starts[ids][:, None] + np.arange(count)[None, :]
-        M = other[c_sorted[gather]]
-        z = v_sorted[gather]
-        G = np.einsum("rck,rcl->rkl", M, M)
-        G[:, eye, eye] += gamma
-        b = np.einsum("rck,rc->rk", M, z)
-        # The trailing singleton makes b a stack of column vectors, which
-        # keeps the batched solve unambiguous across numpy versions.
-        out[ids] = np.linalg.solve(G, b[..., None])[..., 0]
+    row_ids, r = np.unique(rows, return_inverse=True)
+    col_ids, c = np.unique(cols, return_inverse=True)
+    shape = (row_ids.size, col_ids.size)
+    counts = sp.csr_matrix((np.ones(rows.size), (r, c)), shape=shape)
+    values = sp.csr_matrix((vals, (r, c)), shape=shape)
+    M = other[col_ids]
+    G = (counts @ np.einsum("ck,cl->ckl", M, M).reshape(-1, k * k)).reshape(-1, k, k)
+    G += gamma * np.eye(k)
+    b = values @ M
+    # The trailing singleton makes b a stack of column vectors, which
+    # keeps the batched solve unambiguous across numpy versions.
+    out[row_ids] = np.linalg.solve(G, b[..., None])[..., 0]
     return out
 
 

@@ -99,19 +99,15 @@ class SmootherProblem:
         if x0_position.shape != (self.m, self.k):
             raise ValueError(f"anchor position must be {self.m}x{self.k}, got {x0_position.shape}")
         self.x0_position = x0_position
-        self.z = np.concatenate([train.bin(t)[2] for t in range(self.N)])
-
-        # Per-bin scatter matrices turn a residual vector into its adjoint
-        # contribution on the position block with one sparse product.
-        self._scatter: list[sp.csr_matrix] = []
-        for t in range(self.N):
-            users, _, _ = train.bin(t)
-            p = users.size
-            self._scatter.append(
-                sp.csr_matrix(
-                    (np.ones(p), (users, np.arange(p))), shape=(self.m, p)
-                )
-            )
+        self.z = np.concatenate(train.values)
+        # H has one 1-by-k block per observation l of bin t: V_t[j_l], in the
+        # block column of user i_l's row of bin t's position block.
+        block_cols = np.concatenate([(2 * t + 1) * self.m + users for t, users in enumerate(train.users)])
+        data = np.concatenate([factors[t].V[items] for t, items in enumerate(train.items)])
+        p = block_cols.size
+        self.H = sp.bsr_matrix(
+            (data[:, None, :], block_cols, np.arange(p + 1)), shape=(p, self.state_size)
+        ).tocsr()
 
     @property
     def state_size(self) -> int:
@@ -129,18 +125,9 @@ def _blocks(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
 def apply_measurement(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     """Predict every training observation from the position blocks.
 
-    Returns the length-sum(p_t) vector of inner products, bin by bin.
+    Returns the length-sum(p_t) vector ``H x`` of inner products, bin by bin.
     """
-    X = _blocks(problem, x)
-    out = np.empty(problem.total_observations())
-    offset = 0
-    for t in range(problem.N):
-        users, items, _ = problem.train.bin(t)
-        p = users.size
-        if p:
-            out[offset : offset + p] = np.einsum("lk,lk->l", X[t, 1][users], problem.factors[t].V[items])
-        offset += p
-    return out
+    return problem.H @ _blocks(problem, x).reshape(-1)
 
 
 def apply_measurement_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
@@ -152,17 +139,7 @@ def apply_measurement_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.nda
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 1 or r.size != problem.total_observations():
         raise ValueError(f"residual must have length {problem.total_observations()}, got shape {r.shape}")
-    out = np.zeros(problem.state_size)
-    out_blocks = _blocks(problem, out)
-    offset = 0
-    for t in range(problem.N):
-        users, items, _ = problem.train.bin(t)
-        p = users.size
-        if p:
-            contrib = r[offset : offset + p, None] * problem.factors[t].V[items]
-            out_blocks[t, 1] = problem._scatter[t] @ contrib
-        offset += p
-    return out
+    return problem.H.T @ r
 
 
 def apply_process(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:

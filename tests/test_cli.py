@@ -83,12 +83,15 @@ def test_factorize_smooth_evaluate_pipeline(synth_dataset, tmp_path, capsys):
     ]
     # A solve cut off by the iteration cap is flagged, not reported as ok.
     assert main(smooth_argv + ["--max-iter", "80"]) == 1
-    assert kv(out_lines(capsys))["status"] == "max_iter"
+    cut_off = kv(out_lines(capsys))
+    assert cut_off["status"] == "max_iter"
+    assert float(cut_off["rel_grad"]) > 1e-6  # the default grad_tol
     rc = main(smooth_argv + ["--max-iter", "300"])
     assert rc == 0
     smooth_out = kv(out_lines(capsys))
     assert smooth_out["model"] == "dynamic_social"
     assert smooth_out["status"] == "ok"
+    assert float(smooth_out["rel_grad"]) <= 1e-6
     assert int(smooth_out["iterations"]) > 0
     assert (smooth_dir / "trace.csv").exists()
     with open(smooth_dir / "trace.csv", newline="") as fh:
@@ -104,6 +107,16 @@ def test_factorize_smooth_evaluate_pipeline(synth_dataset, tmp_path, capsys):
     eval_out = kv(out_lines(capsys))
     # Same split (seed and fraction defaults), same factors: identical score.
     assert eval_out["rmse_weighted"] == smooth_out["rmse_weighted"]
+
+
+def test_smooth_rejects_non_finite_lambda(synth_dataset, tmp_path, capsys):
+    rc = main([
+        "smooth", "--data", str(synth_dataset), "--k", "2", "--lambda", "nan",
+        "--out", str(tmp_path / "s"),
+    ])
+    assert rc == 2
+    assert "lam must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_smooth_rejects_rank_mismatched_checkpoint(synth_dataset, tmp_path, capsys):
@@ -133,6 +146,10 @@ def test_sweep_writes_csv_and_reports_best(synth_dataset, tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 4  # header + static + dynamic + two social runs
     assert {r[0] for r in rows[1:]} == {"static", "dynamic", "dynamic_social"}
+    assert rows[0][-2:] == ["status", "rel_grad"]
+    for row in rows[1:]:
+        rel_grad = float(row[-1])
+        assert np.isnan(rel_grad) if row[0] == "static" else rel_grad <= 1e-6
 
 
 def sweep_cell(model, k_field, lam_field=""):

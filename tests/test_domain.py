@@ -213,6 +213,17 @@ def test_config_validation():
         dict(k=2, lam=-0.1),
         dict(k=2, gamma=0.0),
         dict(k=2, grad_tol=0.0),
+        # Non-finite values: NaN fails every comparison, inf is no scale.
+        dict(k=2, lam=float("nan")),
+        dict(k=2, lam=float("inf")),
+        dict(k=2, dt=float("nan")),
+        dict(k=2, dt=float("inf")),
+        dict(k=2, sigma=float("nan")),
+        dict(k=2, sigma=float("inf")),
+        dict(k=2, gamma=float("nan")),
+        dict(k=2, gamma=float("inf")),
+        dict(k=2, grad_tol=float("nan")),
+        dict(k=2, grad_tol=float("inf")),
         dict(k=2, max_iter=0),
         dict(k=2, lbfgs_memory=0),
         dict(k=2, seed=-1),

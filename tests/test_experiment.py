@@ -254,7 +254,8 @@ def test_write_results_csv_handles_nan(tmp_path):
     rows = list(csv.reader(open(path, newline="")))
     assert rows[1][0] == "static"
     assert rows[1][3] == "nan"
-    assert rows[1][-1] == "error: boom"
+    assert rows[0][-1] == "rel_grad"
+    assert rows[1][-2:] == ["error: boom", "nan"]
 
 
 # ---------------------------------------------------------------------------

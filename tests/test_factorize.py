@@ -49,11 +49,27 @@ def test_factor_norms_balance_at_convergence(seed):
     assert abs(nu - nv) <= 1e-3 * max(nu, nv)
 
 
-def test_ridge_rows_matches_per_row_solves():
+@pytest.mark.parametrize(
+    "m,n,p,repeats",
+    [
+        pytest.param(8, 6, 25, 0, id="distinct-pairs"),
+        pytest.param(8, 6, 25, 10, id="repeated-pairs"),
+        pytest.param(60, 50, 12, 0, id="mostly-unobserved"),
+    ],
+)
+def test_ridge_rows_matches_per_row_solves(m, n, p, repeats):
     rng = np.random.default_rng(11)
-    m, n, k, p = 8, 6, 3, 25
+    k = 3
     users, items, values = random_bin(m, n, p, 11)
     other = rng.standard_normal((n, k))
+    # Repeated (row, col) pairs carry fresh values and come after the
+    # originals; each copy is one more observation in its row's system.
+    again = rng.permutation(p)[:repeats]
+    users = np.concatenate([users, users[again]])
+    items = np.concatenate([items, items[again]])
+    values = np.concatenate([values, rng.uniform(1.0, 5.0, size=repeats)])
+    if m > p:
+        assert np.unique(users).size < m / 2 and np.unique(items).size < n / 2
     gamma = 0.7
     got = _ridge_rows(users, items, values, m, other, gamma)
     for i in range(m):

@@ -78,6 +78,7 @@ def test_objective_and_gradient_match_dense(seed, lam, sigma, dt, case):
     np.testing.assert_allclose(g, g_dense, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(g_dense).max()))
     r = apply_measurement(problem, x) - oracles.dense_z(problem)
     assert objective_terms(problem, x)[0] == 0.5 / sigma**2 * float(r @ r)
+    np.testing.assert_array_equal(problem.H.toarray(), oracles.dense_measurement(problem))
 
 
 def test_fused_call_is_bit_identical_to_separate_calls():
