@@ -30,7 +30,7 @@ from .experiment import (
     sweep,
     synth_generate,
 )
-from .factorize import init_timeline, load_factors, save_factors, write_matrix
+from .factorize import init_timeline, load_factors, save_factors
 from .ingest import (
     DataFormatError,
     TableFormat,
@@ -91,7 +91,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=None, help="bin spacing (default 1)")
     p.add_argument("--gamma", type=float, default=None, help="ridge weight of the initializer (default 1)")
     p.add_argument("--max-iter", type=int, default=None, help="optimizer iteration cap (default 500)")
-    p.add_argument("--lbfgs-memory", type=int, default=None, help="curvature pairs kept (default 10)")
     p.add_argument("--grad-tol", type=float, default=None, help="gradient stopping tolerance (default 1e-6)")
     p.add_argument("--no-align", action="store_true", help="skip rotating bins into a common frame")
 
@@ -114,7 +113,6 @@ def _smoother_config(res: _Resolver) -> SmootherConfig:
         lam=res.get("lam", 0.0, key="lambda"),
         gamma=res.get("gamma", 1.0),
         max_iter=res.get("max_iter", 500, int),
-        lbfgs_memory=res.get("lbfgs_memory", 10, int),
         grad_tol=res.get("grad_tol", 1e-6),
         align_factors=align,
         seed=res.get("seed", 0, int),
@@ -174,9 +172,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     user_map = {str(i): i for i in range(merged.m)}
     item_map = {str(j): j for j in range(merged.n)}
     save_dataset(out, merged, trust, user_map, item_map)
-    for t, U in enumerate(truth.positions):
-        write_matrix(out / f"truth_U_{t}.mat", U)
-    write_matrix(out / "truth_V.mat", truth.item_factors)
+    np.save(out / "truth_U.npy", np.stack(truth.positions))
+    np.save(out / "truth_V.npy", truth.item_factors)
     _print_dataset(merged, trust, out)
     return 0
 

@@ -236,7 +236,6 @@ class SmootherConfig:
     lam: float = 0.0
     gamma: float = 1.0
     max_iter: int = 500
-    lbfgs_memory: int = 10
     grad_tol: float = 1e-6
     align_factors: bool = True
     seed: int = 0
@@ -249,8 +248,8 @@ class SmootherConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.max_iter < 1 or self.lbfgs_memory < 1:
-            raise ValueError("max_iter and lbfgs_memory must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
 

@@ -166,7 +166,6 @@ def run_dynamic(
     result = lbfgs_minimize(
         lambda x: objective_and_gradient(problem, x),
         x0.x,
-        memory=config.lbfgs_memory,
         max_iter=config.max_iter,
         grad_tol=config.grad_tol,
     )

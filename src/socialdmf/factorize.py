@@ -27,38 +27,43 @@ from .ingest import SplitTimeline
 logger = logging.getLogger(__name__)
 
 
-def _ridge_rows(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    n_rows: int,
-    other: np.ndarray,
-    gamma: float,
-) -> np.ndarray:
-    """Solve every per-row ridge system (M'M + gamma I) x = M'z exactly.
+def _compress(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """One bin's sparse structure over its observed rows and columns.
 
-    Row i's system is over its observations; M stacks the corresponding rows
-    of ``other``, so a repeated (row, col) pair counts twice. Rows without
-    observations get the zero vector. One sparse product forms every Gram
-    matrix and one batched call solves them.
+    Returns the observed row ids, the observed column ids, and two CSR
+    matrices over them: entry (i, c) counts row i's observations of column
+    c, and sums their values.
     """
-    k = other.shape[1]
-    out = np.zeros((n_rows, k))
-    if rows.size == 0:
-        return out
     row_ids, r = np.unique(rows, return_inverse=True)
     col_ids, c = np.unique(cols, return_inverse=True)
     shape = (row_ids.size, col_ids.size)
     counts = sp.csr_matrix((np.ones(rows.size), (r, c)), shape=shape)
-    values = sp.csr_matrix((vals, (r, c)), shape=shape)
-    M = other[col_ids]
-    G = (counts @ np.einsum("ck,cl->ckl", M, M).reshape(-1, k * k)).reshape(-1, k, k)
+    sums = sp.csr_matrix((vals, (r, c)), shape=shape)
+    return row_ids, col_ids, counts, sums
+
+
+def _ridge_rows(
+    counts: sp.csr_matrix,
+    values: sp.csr_matrix,
+    other_rows: np.ndarray,
+    gamma: float,
+) -> np.ndarray:
+    """Solve every per-row ridge system (M'M + gamma I) x = M'z exactly.
+
+    ``counts[i, c]`` is how often row i observed column c and ``values[i, c]``
+    the sum of those observations; ``other_rows[c]`` is column c's factor.
+    So row i's system is over its observations, and a repeated (row, col)
+    pair counts twice. One sparse product forms every Gram matrix and one
+    batched call solves them.
+    """
+    k = other_rows.shape[1]
+    outer = np.einsum("ck,cl->ckl", other_rows, other_rows).reshape(-1, k * k)
+    G = (counts @ outer).reshape(-1, k, k)
     G += gamma * np.eye(k)
-    b = values @ M
+    b = values @ other_rows
     # The trailing singleton makes b a stack of column vectors, which
     # keeps the batched solve unambiguous across numpy versions.
-    out[row_ids] = np.linalg.solve(G, b[..., None])[..., 0]
-    return out
+    return np.linalg.solve(G, b[..., None])[..., 0]
 
 
 def _penalized_objective(users, items, values, U, V, gamma) -> float:
@@ -88,9 +93,9 @@ def factorize_bin(
         Ridge weight; must be positive, which also keeps every per-row
         system nonsingular.
     iters : int
-        Maximum alternating iterations; the loop stops early once the
-        relative objective change over one full iteration drops below
-        ``tol``.
+        Maximum alternating iterations, at least 1; the loop stops early
+        once the relative objective change over one full iteration drops
+        below ``tol``.
     seed : int, SeedSequence, or Generator
         Seeds the Gaussian initialization (std 1/sqrt(k)).
 
@@ -98,18 +103,25 @@ def factorize_bin(
     -------
     (FactorPair, ndarray)
         The factors and the objective trace, one entry per half-step plus
-        the initial value. The trace is non-increasing.
+        the initial value. The trace is non-increasing. Users and items
+        without observations get zero factors.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     users, items, values = observations
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     if users.size == 0:
         raise ValueError("cannot factorize an empty bin")
+
+    # The structure depends only on the bin, so both orientations are built once.
+    row_ids, col_ids, counts, sums = _compress(users, items, values)
+    counts_t, sums_t = counts.T.tocsr(), sums.T.tocsr()
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(k)
@@ -119,9 +131,11 @@ def factorize_bin(
     trace = [_penalized_objective(users, items, values, U, V, gamma)]
     previous_full = trace[0]
     for _ in range(iters):
-        U = _ridge_rows(users, items, values, m, V, gamma)
+        U = np.zeros((m, k))
+        U[row_ids] = _ridge_rows(counts, sums, V[col_ids], gamma)
         trace.append(_penalized_objective(users, items, values, U, V, gamma))
-        V = _ridge_rows(items, users, values, n, U, gamma)
+        V = np.zeros((n, k))
+        V[col_ids] = _ridge_rows(counts_t, sums_t, U[row_ids], gamma)
         trace.append(_penalized_objective(users, items, values, U, V, gamma))
         current = trace[-1]
         if abs(previous_full - current) <= tol * max(1.0, abs(current)):
@@ -187,53 +201,30 @@ def init_timeline(
 
 # Checkpoint files ----------------------------------------------------------
 
-def write_matrix(path, A: np.ndarray) -> None:
-    """Write a matrix as text: a 'rows cols' header, then one row per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-        for row in A:
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
-
-
-def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: first line must be 'rows cols'")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.size == 0:
-        data = data.reshape(0, cols)
-    if data.shape != (rows, cols):
-        raise ValueError(f"{path}: header says {rows}x{cols}, body is {data.shape}")
-    return data
-
-
 def save_factors(directory, timeline: FactorTimeline) -> None:
-    """Write one U_<t>.mat / V_<t>.mat text pair per bin.
+    """Write the timeline as two ``.npy`` stacks: ``U.npy`` (N, m, k) and ``V.npy`` (N, n, k).
 
-    Files carry a 'rows cols' header line followed by one row per line with
-    17 significant digits, enough to round-trip doubles exactly.
+    The ``.npy`` format stores float64 bits as they are, so a checkpoint
+    round-trips exactly.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for t, pair in enumerate(timeline):
-        write_matrix(directory / f"U_{t}.mat", pair.U)
-        write_matrix(directory / f"V_{t}.mat", pair.V)
+    np.save(directory / "U.npy", np.stack([pair.U for pair in timeline]))
+    np.save(directory / "V.npy", np.stack([pair.V for pair in timeline]))
 
 
 def load_factors(directory) -> FactorTimeline:
-    """Read a checkpoint directory written by :func:`save_factors`."""
+    """Read a checkpoint directory written by :func:`save_factors`.
+
+    Never unpickles. Raises ValueError when a stack is not 3-d or the two
+    disagree on N or k.
+    """
     directory = Path(directory)
-    t = 0
-    pairs = []
-    while (directory / f"U_{t}.mat").exists():
-        U = read_matrix(directory / f"U_{t}.mat")
-        V = read_matrix(directory / f"V_{t}.mat")
-        pairs.append(FactorPair(U=U, V=V))
-        t += 1
-    if not pairs:
-        raise FileNotFoundError(f"no U_0.mat under {directory}")
-    return FactorTimeline(pairs)
+    U = np.load(directory / "U.npy")
+    V = np.load(directory / "V.npy")
+    if U.ndim != 3 or V.ndim != 3 or U.shape[0] != V.shape[0] or U.shape[2] != V.shape[2]:
+        raise ValueError(
+            f"{directory}: U.npy and V.npy must be (N, m, k) and (N, n, k) stacks, "
+            f"got {U.shape} and {V.shape}"
+        )
+    return FactorTimeline([FactorPair(U=u, V=v) for u, v in zip(U, V)])

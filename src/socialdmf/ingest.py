@@ -93,19 +93,17 @@ def _read_table(path, fmt: TableFormat, default_columns, schema, convert) -> np.
                 continue
             total += 1
             fields = line.split(fmt.delimiter)
-            if len(fields) != len(columns):
-                malformed += 1
-                if len(first_bad) < 5:
-                    first_bad.append(line_no)
-                continue
             try:
+                if len(fields) != len(columns):
+                    raise ValueError("wrong field count")
                 records.append(convert(*(fields[i] for i in index)))
             except (ValueError, OverflowError):
                 malformed += 1
+                if len(first_bad) < 5:
+                    first_bad.append(line_no)
     if total and malformed > total / 2:
         raise DataFormatError(
-            f"{path}: {malformed} of {total} rows are malformed "
-            f"(first bad lines: {first_bad or 'value errors'})"
+            f"{path}: {malformed} of {total} rows are malformed (first bad lines: {first_bad})"
         )
     if malformed:
         logger.warning("%s: skipped %d malformed rows of %d", path, malformed, total)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from socialdmf import load_dataset, load_factors, read_matrix
+from socialdmf import load_dataset, load_factors
 from socialdmf.cli import main
 
 
@@ -45,9 +45,8 @@ def test_synth_writes_a_loadable_dataset(tmp_path, capsys):
     assert ratings.total() == 120
     assert trust.edge_count(2) == int(values["edges"])
     assert len(user_map) == 15 and len(item_map) == 10
-    truth_V = read_matrix(data / "truth_V.mat")
-    assert truth_V.shape == (10, 2)
-    assert read_matrix(data / "truth_U_2.mat").shape == (15, 2)
+    assert np.load(data / "truth_V.npy").shape == (10, 2)
+    assert np.load(data / "truth_U.npy").shape == (3, 15, 2)
 
 
 def test_synth_is_reproducible_byte_for_byte(tmp_path):
@@ -131,6 +130,34 @@ def test_smooth_rejects_rank_mismatched_checkpoint(synth_dataset, tmp_path, caps
     ])
     assert rc == 2
     assert "rank" in capsys.readouterr().err
+
+
+def test_factorize_rejects_zero_iters(synth_dataset, tmp_path, capsys):
+    rc = main([
+        "factorize", "--data", str(synth_dataset), "--k", "2", "--iters", "0",
+        "--out", str(tmp_path / "f"),
+    ])
+    assert rc == 2
+    assert "iters must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize(
+    "U_shape,V_shape",
+    [
+        pytest.param((3, 15, 2), (2, 10, 2), id="N-differs"),
+        pytest.param((3, 15, 2), (3, 10, 3), id="k-differs"),
+        pytest.param((15, 2), (10, 2), id="not-3d"),
+    ],
+)
+def test_evaluate_rejects_mismatched_checkpoint_stacks(synth_dataset, tmp_path, capsys, U_shape, V_shape):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    np.save(ckpt / "U.npy", np.zeros(U_shape))
+    np.save(ckpt / "V.npy", np.zeros(V_shape))
+    rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(ckpt)])
+    assert rc == 2
+    assert "stacks" in capsys.readouterr().err
 
 
 def test_sweep_writes_csv_and_reports_best(synth_dataset, tmp_path, capsys):

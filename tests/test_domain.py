@@ -225,7 +225,6 @@ def test_config_validation():
         dict(k=2, grad_tol=float("nan")),
         dict(k=2, grad_tol=float("inf")),
         dict(k=2, max_iter=0),
-        dict(k=2, lbfgs_memory=0),
         dict(k=2, seed=-1),
     ):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from socialdmf import (
     FactorPair,
@@ -11,12 +12,10 @@ from socialdmf import (
     factorize_bin,
     init_timeline,
     load_factors,
-    read_matrix,
     save_factors,
     split_train_test,
-    write_matrix,
 )
-from socialdmf.factorize import _ridge_rows
+from socialdmf.factorize import _compress, _ridge_rows
 
 
 def random_bin(m, n, p, seed, repeat_users=True):
@@ -71,24 +70,30 @@ def test_ridge_rows_matches_per_row_solves(m, n, p, repeats):
     if m > p:
         assert np.unique(users).size < m / 2 and np.unique(items).size < n / 2
     gamma = 0.7
-    got = _ridge_rows(users, items, values, m, other, gamma)
-    for i in range(m):
+    row_ids, col_ids, counts, sums = _compress(users, items, values)
+    got = _ridge_rows(counts, sums, other[col_ids], gamma)
+    assert got.shape == (row_ids.size, k)
+    for i, x in zip(row_ids, got):
         mask = users == i
-        if not mask.any():
-            np.testing.assert_array_equal(got[i], 0.0)
-            continue
         M = other[items[mask]]
         z = values[mask]
         expect = np.linalg.solve(M.T @ M + gamma * np.eye(k), M.T @ z)
-        np.testing.assert_allclose(got[i], expect, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(x, expect, rtol=1e-10, atol=1e-12)
 
 
 def test_ridge_rows_handles_empty_input():
-    out = _ridge_rows(
-        np.array([], dtype=np.int64), np.array([], dtype=np.int64),
-        np.array([]), 4, np.zeros((3, 2)), 1.0,
-    )
-    np.testing.assert_array_equal(out, np.zeros((4, 2)))
+    empty = sp.csr_matrix((0, 0))
+    out = _ridge_rows(empty, empty, np.zeros((0, 2)), 1.0)
+    assert out.shape == (0, 2)
+
+
+def test_unrated_rows_get_zero_factors():
+    users, items, values = random_bin(6, 5, 12, 3)
+    # random_bin draws users below 6 and items below 5, so user 6 and item 5 are unrated.
+    pair, _ = factorize_bin((users, items, values), 7, 6, k=2, gamma=0.5, iters=3)
+    np.testing.assert_array_equal(pair.U[6], 0.0)
+    np.testing.assert_array_equal(pair.V[5], 0.0)
+    assert np.all(pair.U[np.unique(users)] != 0.0)
 
 
 def test_half_steps_are_exact_minimizers():
@@ -97,7 +102,9 @@ def test_half_steps_are_exact_minimizers():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((8, 2))
     gamma = 0.3
-    U = _ridge_rows(users, items, values, 10, V, gamma)
+    row_ids, col_ids, counts, sums = _compress(users, items, values)
+    U = np.zeros((10, 2))
+    U[row_ids] = _ridge_rows(counts, sums, V[col_ids], gamma)
     # Perturbing any row must not lower the objective.
     def obj(U_):
         r = values - np.einsum("lk,lk->l", U_[users], V[items])
@@ -120,6 +127,8 @@ def test_invalid_parameters_rejected():
         factorize_bin(obs, 4, 4, k=0, gamma=1.0)
     with pytest.raises(ValueError):
         factorize_bin(obs, 4, 4, k=2, gamma=0.0)
+    with pytest.raises(ValueError, match="iters"):
+        factorize_bin(obs, 4, 4, k=2, gamma=1.0, iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +235,6 @@ def test_init_timeline_empty_bin_gets_zero_factors(caplog):
 # Checkpoints
 
 
-def test_matrix_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(31)
-    A = rng.standard_normal((7, 3)) * np.exp(rng.uniform(-20, 20, size=(7, 3)))
-    path = tmp_path / "a.mat"
-    write_matrix(path, A)
-    np.testing.assert_array_equal(read_matrix(path), A)
-
-
-def test_matrix_header_mismatch_rejected(tmp_path):
-    path = tmp_path / "bad.mat"
-    path.write_text("2 3\n1 2 3\n")
-    with pytest.raises(ValueError, match="header"):
-        read_matrix(path)
-
-
 def test_factor_checkpoint_round_trip(tmp_path):
     split = timeline_fixture(seed=6)
     factors = init_timeline(split, SmootherConfig(k=2, gamma=0.5, seed=3))
@@ -250,6 +244,40 @@ def test_factor_checkpoint_round_trip(tmp_path):
     for t in range(factors.N):
         np.testing.assert_array_equal(loaded[t].U, factors[t].U)
         np.testing.assert_array_equal(loaded[t].V, factors[t].V)
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["U.npy", "V.npy"]
+    assert np.load(tmp_path / "ckpt" / "U.npy").shape == (factors.N, factors.m, factors.k)
+    assert np.load(tmp_path / "ckpt" / "V.npy").shape == (factors.N, factors.n, factors.k)
+
+
+def test_factor_checkpoint_is_byte_identical_across_saves(tmp_path):
+    factors = init_timeline(timeline_fixture(seed=7), SmootherConfig(k=2, gamma=0.5, seed=4))
+    save_factors(tmp_path / "a", factors)
+    save_factors(tmp_path / "b", factors)
+    for name in ("U.npy", "V.npy"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "U_shape,V_shape",
+    [
+        pytest.param((3, 5, 2), (2, 4, 2), id="N-differs"),
+        pytest.param((3, 5, 2), (3, 4, 3), id="k-differs"),
+        pytest.param((5, 2), (4, 2), id="not-3d"),
+        pytest.param((3, 5, 2), (3, 4, 2, 1), id="V-4d"),
+    ],
+)
+def test_load_factors_rejects_mismatched_stacks(tmp_path, U_shape, V_shape):
+    np.save(tmp_path / "U.npy", np.zeros(U_shape))
+    np.save(tmp_path / "V.npy", np.zeros(V_shape))
+    with pytest.raises(ValueError, match="stacks"):
+        load_factors(tmp_path)
+
+
+def test_load_factors_never_unpickles(tmp_path):
+    np.save(tmp_path / "U.npy", np.empty((1, 2, 2), dtype=object), allow_pickle=True)
+    np.save(tmp_path / "V.npy", np.zeros((1, 3, 2)))
+    with pytest.raises(ValueError, match="pickle"):
+        load_factors(tmp_path)
 
 
 def test_load_factors_missing_directory(tmp_path):

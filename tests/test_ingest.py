@@ -100,7 +100,18 @@ def test_parse_ratings_counts_and_skips_malformed(tmp_path, caplog):
 def test_parse_ratings_mostly_malformed_raises(tmp_path):
     path = tmp_path / "r.tsv"
     path.write_text("a;b;c\nd;e;f\nu1\ti1\t4.0\t2003-05-15\n")
-    with pytest.raises(DataFormatError, match="malformed"):
+    with pytest.raises(DataFormatError, match=r"malformed \(first bad lines: \[1, 2\]\)"):
+        parse_ratings(path)
+    # Rows with the right field count whose values fail to convert are listed too.
+    path.write_text(
+        "u1\ti1\tfive\t2003-05-15\n"
+        "u1\ti2\t4.0\t2003-05-15\n"
+        "\n"
+        "u2\ti1\t3.0\tnot-a-date\n"
+        "u2\ti2\t2.0\t2003-05-15\n"
+        "u3\ti1\tnan\t2003-05-15\n"
+    )
+    with pytest.raises(DataFormatError, match=r"3 of 5 rows are malformed \(first bad lines: \[1, 4, 6\]\)"):
         parse_ratings(path)
 
 
