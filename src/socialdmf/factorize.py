@@ -42,6 +42,17 @@ def _compress(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     return row_ids, col_ids, counts, sums
 
 
+def gram_blocks(counts: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Every row's Gram matrix ``sum_c counts[i, c] rows[c] rows[c]'``, as an (m, k, k) stack.
+
+    One sparse product with the table of each column's k*k outer product,
+    so the work is one pass over the nonzeros of ``counts``.
+    """
+    k = rows.shape[1]
+    outer = np.einsum("ck,cl->ckl", rows, rows).reshape(-1, k * k)
+    return (counts @ outer).reshape(-1, k, k)
+
+
 def _ridge_rows(
     counts: sp.csr_matrix,
     values: sp.csr_matrix,
@@ -56,10 +67,8 @@ def _ridge_rows(
     pair counts twice. One sparse product forms every Gram matrix and one
     batched call solves them.
     """
-    k = other_rows.shape[1]
-    outer = np.einsum("ck,cl->ckl", other_rows, other_rows).reshape(-1, k * k)
-    G = (counts @ outer).reshape(-1, k, k)
-    G += gamma * np.eye(k)
+    G = gram_blocks(counts, other_rows)
+    G += gamma * np.eye(other_rows.shape[1])
     b = values @ other_rows
     # The trailing singleton makes b a stack of column vectors, which
     # keeps the batched solve unambiguous across numpy versions.

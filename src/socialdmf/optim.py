@@ -138,6 +138,7 @@ def lbfgs_minimize(
     memory: int = 10,
     max_iter: int = 500,
     grad_tol: float = 1e-6,
+    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> MinimizeResult:
     """Minimize a smooth function with limited-memory BFGS.
 
@@ -153,6 +154,11 @@ def lbfgs_minimize(
         Iteration cap.
     grad_tol : float
         Stop once ``||grad|| / max(1, ||x||) <= grad_tol``.
+    precondition : callable, optional
+        A fixed symmetric positive definite ``v -> P^-1 v``, P close to the
+        Hessian. It replaces the initial ``s'y / y'y`` scaling of the two-loop
+        recursion and gives the restart direction ``-P^-1 g``; the first
+        trial step is then 1 instead of ``1 / ||g||``.
 
     Returns
     -------
@@ -185,7 +191,9 @@ def lbfgs_minimize(
             a = rho * float(s @ q)
             alphas.append(a)
             q -= a * y
-        if pairs:
+        if precondition is not None:
+            q = precondition(q)
+        elif pairs:
             s, y, _ = pairs[-1]
             q *= float(s @ y) / float(y @ y)
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
@@ -195,8 +203,9 @@ def lbfgs_minimize(
         if float(g @ direction) >= 0:
             # Stale curvature produced a non-descent direction; restart.
             pairs.clear()
-            direction = -g
-        alpha0 = min(1.0, 1.0 / max(gnorm, 1e-16)) if iteration == 0 else 1.0
+            direction = -g if precondition is None else -precondition(g)
+        first_unscaled = iteration == 0 and precondition is None
+        alpha0 = min(1.0, 1.0 / max(gnorm, 1e-16)) if first_unscaled else 1.0
         result = _strong_wolfe(evaluate, x, f, g, direction, alpha0)
         if result is None:
             status = "line_search_failed"

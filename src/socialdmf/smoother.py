@@ -20,7 +20,7 @@ static initialization of bin 0 propagated through one transition from rest.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +34,7 @@ from .domain import (
     SmootherState,
     process_noise_block,
 )
+from .factorize import gram_blocks
 from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
 
 
@@ -269,3 +270,57 @@ def objective_and_gradient(problem: SmootherProblem, x: np.ndarray) -> tuple[flo
     terms, grad = _evaluate(problem, x, want_gradient=True)
     meas, proc, social = terms
     return meas + proc + social, grad
+
+
+def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.ndarray]:
+    """``r -> P^-1 r``, P the Hessian without the Laplacians' adjacency entries.
+
+    Keeping only the degree terms decouples the users, so P is, per user,
+    block-tridiagonal in time with 2k-by-2k (velocity, position) blocks:
+    ``kron(a_t, I_k)`` on the diagonal, ``a_t = Qinv + F' Qinv F`` (``Qinv``
+    for the last bin) with F the transition, plus ``M_it / sigma^2 + lam
+    deg_t(i) I_k`` on positions, M_it the Gram matrix of user i's bin-t item
+    factors; ``kron(-F' Qinv, I_k)`` couples bins t and t+1. At ``lam = 0``
+    P is the Hessian. Forward block elimination in time (the information
+    form of the Rauch-Tung-Striebel smoother) stores the inverse Schur
+    complements as one (N, m, 2k, 2k) float32 stack; an apply is a forward
+    and a backward sweep of float64 batched mat-vecs, a fixed symmetric
+    positive definite operator.
+    """
+    N, m, k = problem.N, problem.m, problem.k
+    cfg = problem.config
+    q_inv = problem.noise.q_inv
+    F = np.array([[1.0, 0.0], [cfg.dt, 1.0]])
+    eye = np.eye(k)
+    coupling = np.kron(-F.T @ q_inv, eye)  # block (t, t+1) of every user
+    use_social = cfg.lam > 0 and problem.laplacians is not None
+
+    inverses = np.empty((N, m, 2 * k, 2 * k), dtype=np.float32)
+    for t in range(N):
+        a = q_inv + F.T @ q_inv @ F if t < N - 1 else q_inv
+        S = np.repeat(np.kron(a, eye)[None], m, axis=0)
+        users, items, _ = problem.train.bin(t)
+        counts = sp.csr_matrix((np.ones(users.size), (users, items)), shape=(m, problem.n))
+        S[:, k:, k:] += gram_blocks(counts, problem.factors[t].V) / cfg.sigma**2
+        if use_social:
+            S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[:, None, None] * eye
+        if t > 0:
+            S -= coupling.T @ S_inv @ coupling
+        S_inv = np.linalg.inv(S)
+        S_inv = 0.5 * (S_inv + S_inv.transpose(0, 2, 1))
+        inverses[t] = S_inv
+
+    def solve(t: int, y: np.ndarray) -> np.ndarray:
+        return np.matmul(inverses[t].astype(np.float64), y[..., None])[..., 0]
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        R = _blocks(problem, r).transpose(0, 2, 1, 3).reshape(N, m, 2 * k)
+        X = np.empty_like(R)
+        X[0] = solve(0, R[0])
+        for t in range(1, N):
+            X[t] = solve(t, R[t] - X[t - 1] @ coupling)
+        for t in range(N - 2, -1, -1):
+            X[t] -= solve(t, X[t + 1] @ coupling.T)
+        return X.reshape(N, m, 2, k).transpose(0, 2, 1, 3).reshape(-1)
+
+    return apply

@@ -81,7 +81,8 @@ def test_factorize_smooth_evaluate_pipeline(synth_dataset, tmp_path, capsys):
         "--out", str(smooth_dir),
     ]
     # A solve cut off by the iteration cap is flagged, not reported as ok.
-    assert main(smooth_argv + ["--max-iter", "80"]) == 1
+    # One preconditioned step does not reach the default grad_tol at lambda > 0.
+    assert main(smooth_argv + ["--max-iter", "1"]) == 1
     cut_off = kv(out_lines(capsys))
     assert cut_off["status"] == "max_iter"
     assert float(cut_off["rel_grad"]) > 1e-6  # the default grad_tol
@@ -188,7 +189,7 @@ def sweep_cell(model, k_field, lam_field=""):
 def test_sweep_exits_1_when_solves_stop_at_max_iter(synth_dataset, tmp_path, capsys):
     rc = main([
         "sweep", "--data", str(synth_dataset), "--ks", "2", "--lambdas", "0.01,0.1",
-        "--gamma", "0.5", "--max-iter", "40", "--seed", "0", "--out", str(tmp_path / "s.csv"),
+        "--gamma", "0.5", "--max-iter", "1", "--seed", "0", "--out", str(tmp_path / "s.csv"),
     ])
     assert rc == 1
     lines = out_lines(capsys)
@@ -196,7 +197,8 @@ def test_sweep_exits_1_when_solves_stop_at_max_iter(synth_dataset, tmp_path, cap
         sweep_cell(*line.partition(": ")[0].split()): line.rsplit("[", 1)[1].rstrip("]")
         for line in lines if line.endswith("]")
     }
-    assert sorted(status.values()) == ["max_iter", "max_iter", "max_iter", "ok"]
+    # At lambda = 0 the preconditioner is the exact Hessian, so one step converges.
+    assert sorted(status.values()) == ["max_iter", "max_iter", "ok", "ok"]
     best = [line for line in lines if line.startswith("best:")]
     assert best, "the converged static row is still reported"
     assert status[sweep_cell(*best[0].split()[1:4])] == "ok"

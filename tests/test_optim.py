@@ -58,6 +58,37 @@ def test_trace_objective_strictly_decreases():
     assert result.trace[-1][0] == result.iterations
 
 
+def test_exact_inverse_hessian_preconditioner_converges_in_one_iteration():
+    evaluate, x_star, A, _ = quadratic_problem(20, seed=5, cond=1e4)
+    result = lbfgs_minimize(
+        evaluate, np.zeros(20), memory=5, precondition=lambda v: np.linalg.solve(A, v)
+    )
+    assert result.converged
+    assert result.iterations == 1
+    assert result.trace[1][3] == 1.0  # the first trial step is 1
+    np.testing.assert_allclose(result.x, x_star, rtol=1e-8, atol=1e-10)
+
+
+def test_diagonal_preconditioner_cuts_iterations_on_a_badly_scaled_quadratic():
+    _, _, C, b = quadratic_problem(40, seed=6, cond=4.0)
+    scale = np.logspace(0, 1.5, 40)
+    A = scale[:, None] * C * scale[None, :]  # badly conditioned only through the scaling
+
+    def evaluate(x):
+        Ax = A @ x
+        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+
+    diagonal = np.diag(A).copy()
+    plain = lbfgs_minimize(evaluate, np.zeros(40), memory=5, max_iter=2000)
+    jacobi = lbfgs_minimize(
+        evaluate, np.zeros(40), memory=5, max_iter=2000,
+        precondition=lambda v: v / diagonal,
+    )
+    assert plain.converged and jacobi.converged
+    assert jacobi.iterations < plain.iterations
+    np.testing.assert_allclose(jacobi.x, np.linalg.solve(A, b), rtol=1e-4, atol=1e-6)
+
+
 def test_line_search_failure_on_unbounded_descent():
     def evaluate(x):
         return float(x[0]), np.array([1.0])

@@ -19,11 +19,13 @@ from socialdmf import (
     apply_qinv,
     gradient,
     laplacian_quadratic,
+    lbfgs_minimize,
     objective,
     objective_and_gradient,
     objective_terms,
     random_problem,
 )
+from socialdmf.smoother import block_preconditioner
 
 import oracles
 
@@ -79,6 +81,53 @@ def test_objective_and_gradient_match_dense(seed, lam, sigma, dt, case):
     r = apply_measurement(problem, x) - oracles.dense_z(problem)
     assert objective_terms(problem, x)[0] == 0.5 / sigma**2 * float(r @ r)
     np.testing.assert_array_equal(problem.H.toarray(), oracles.dense_measurement(problem))
+
+
+PRECONDITIONER_CASES = [
+    pytest.param(0.0, 1.0, None, id="lam0-dt1"),
+    pytest.param(0.0, 2.0, None, id="lam0-dt2"),
+    pytest.param(0.3, 1.0, None, id="lam0.3-dt1"),
+    pytest.param(0.3, 2.0, None, id="lam0.3-dt2"),
+    pytest.param(0.3, 1.0, "N=1", id="N=1"),
+    pytest.param(0.3, 1.0, "empty bin", id="empty-bin"),
+    pytest.param(0.3, 1.0, "unrated user", id="unrated-user"),
+    pytest.param(0.0, 2.0, "unrated user", id="unrated-user-lam0"),
+]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("lam,dt,case", PRECONDITIONER_CASES)
+def test_preconditioner_inverts_the_hessian_without_adjacency(seed, lam, dt, case):
+    problem = _edge_case_problem(case, seed, lam, 0.7, dt)
+    H = oracles.dense_measurement(problem)
+    G = oracles.dense_process(problem)
+    S = oracles.dense_social(problem)
+    A = H.T @ H / 0.7**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
+    # The social matrix is kron(D - W, I_k) on positions; keep only its diagonal D.
+    P = A - lam * S + lam * np.diag(np.diag(S))
+    apply = block_preconditioner(problem)
+    P_inv = np.column_stack([apply(e) for e in np.eye(problem.state_size)])
+    expected = np.linalg.inv(P)
+    # The inverse blocks are stored in float32.
+    np.testing.assert_allclose(P_inv, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("lam,dt,case", PRECONDITIONER_CASES)
+def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, case):
+    problem = _edge_case_problem(case, seed, lam, 0.7, dt)
+    x_star = oracles.normal_equations_solution(problem)
+    f_star = oracles.dense_objective(problem, x_star)
+    result = lbfgs_minimize(
+        lambda x: objective_and_gradient(problem, x),
+        np.zeros(problem.state_size),
+        memory=5,
+        precondition=block_preconditioner(problem),
+    )
+    assert result.status == "converged"
+    assert abs(objective(problem, result.x) - f_star) <= 1e-8
+    if lam == 0:
+        assert result.iterations <= 2
 
 
 def test_fused_call_is_bit_identical_to_separate_calls():
