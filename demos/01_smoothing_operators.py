@@ -2,9 +2,9 @@
 
 Shows that the measurement and transition operators satisfy their adjoint
 identities, that the analytic gradient agrees with central differences, and
-that the quadratic objective is driven to its minimum from a cold start, with
-and without the per-user block-tridiagonal preconditioner that ``run_dynamic``
-uses.
+that L-BFGS with exact steps drives the quadratic objective to its minimum
+from a cold start, with and without the per-user block-tridiagonal
+preconditioner that ``run_dynamic`` uses.
 """
 
 import argparse

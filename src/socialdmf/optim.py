@@ -1,4 +1,4 @@
-"""Matrix-free L-BFGS with a strong Wolfe line search, plus a gradient checker.
+"""Matrix-free L-BFGS with exact steps on a convex quadratic, plus a gradient checker.
 
 The minimizer touches the problem only through a callback returning
 ``(f, grad)``, so it scales to states that exist solely as flat vectors.
@@ -7,7 +7,6 @@ The minimizer touches the problem only through a callback returning
 from __future__ import annotations
 
 import csv
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -16,23 +15,17 @@ import numpy as np
 
 from .domain import NumericalError
 
-logger = logging.getLogger(__name__)
-
 Evaluate = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-# Strong Wolfe constants: sufficient decrease and curvature.
-_C1 = 1e-4
-_C2 = 0.9
-# Curvature pairs with s'y below this relative floor are discarded.
-_PAIR_FLOOR = 1e-12
 
 
 @dataclass
 class MinimizeResult:
     """Outcome of a minimization run.
 
-    ``trace`` holds one ``(iteration, f, grad_norm, step)`` row per accepted
-    iterate, starting with the initial point at step 0.
+    ``trace`` holds one ``(iteration, f, grad_norm, step)`` row per iterate,
+    starting with the initial point at step 0; ``step`` is the exact step
+    length. ``f`` and ``grad_norm`` are updated from the quadratic model, not
+    re-evaluated, and ``n_evaluations`` is ``iterations + 1``.
     """
 
     x: np.ndarray
@@ -62,76 +55,6 @@ def _check_pair(f: float, g: np.ndarray) -> None:
         raise NumericalError("objective or gradient is non-finite")
 
 
-def _strong_wolfe(
-    evaluate: Evaluate,
-    x: np.ndarray,
-    f0: float,
-    g0: np.ndarray,
-    direction: np.ndarray,
-    alpha0: float,
-    max_expand: int = 25,
-    max_zoom: int = 40,
-):
-    """Line search satisfying the strong Wolfe conditions.
-
-    Returns ``(alpha, f, g, n_evals)`` on success or ``None`` on failure.
-    Follows the usual bracket-then-zoom scheme with safeguarded quadratic
-    interpolation inside the zoom phase.
-    """
-    dphi0 = float(g0 @ direction)
-    if dphi0 >= 0:
-        return None
-    n_evals = 0
-
-    def phi(alpha: float):
-        nonlocal n_evals
-        f, g = evaluate(x + alpha * direction)
-        _check_pair(f, g)
-        n_evals += 1
-        return f, float(g @ direction), g
-
-    def zoom(a_lo, f_lo, dphi_lo, a_hi, f_hi):
-        nonlocal n_evals
-        for _ in range(max_zoom):
-            span = a_hi - a_lo
-            if abs(span) < 1e-16 * max(1.0, abs(a_lo)):
-                return None
-            # Quadratic model through (a_lo, f_lo, dphi_lo) and (a_hi, f_hi).
-            denom = f_hi - f_lo - dphi_lo * span
-            if denom > 0:
-                a = a_lo - 0.5 * dphi_lo * span * span / denom
-            else:
-                a = a_lo + 0.5 * span
-            lo, hi = (a_lo, a_hi) if a_lo < a_hi else (a_hi, a_lo)
-            margin = 0.1 * (hi - lo)
-            if not (lo + margin <= a <= hi - margin):
-                a = a_lo + 0.5 * span
-            f_a, dphi_a, g_a = phi(a)
-            if f_a > f0 + _C1 * a * dphi0 or f_a >= f_lo:
-                a_hi, f_hi = a, f_a
-            else:
-                if abs(dphi_a) <= -_C2 * dphi0:
-                    return a, f_a, g_a, n_evals
-                if dphi_a * span >= 0:
-                    a_hi, f_hi = a_lo, f_lo
-                a_lo, f_lo, dphi_lo = a, f_a, dphi_a
-        return None
-
-    a_prev, f_prev, dphi_prev = 0.0, f0, dphi0
-    alpha = alpha0
-    for i in range(max_expand):
-        f_a, dphi_a, g_a = phi(alpha)
-        if f_a > f0 + _C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
-            return zoom(a_prev, f_prev, dphi_prev, alpha, f_a)
-        if abs(dphi_a) <= -_C2 * dphi0:
-            return alpha, f_a, g_a, n_evals
-        if dphi_a >= 0:
-            return zoom(alpha, f_a, dphi_a, a_prev, f_prev)
-        a_prev, f_prev, dphi_prev = alpha, f_a, dphi_a
-        alpha = min(2.0 * alpha, 1e10)
-    return None
-
-
 def lbfgs_minimize(
     evaluate: Evaluate,
     x0: np.ndarray,
@@ -140,12 +63,19 @@ def lbfgs_minimize(
     grad_tol: float = 1e-6,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> MinimizeResult:
-    """Minimize a smooth function with limited-memory BFGS.
+    """Minimize a strictly convex quadratic with limited-memory BFGS.
+
+    Each iteration evaluates the gradient once, at ``x + d`` for the two-loop
+    direction ``d``. On a quadratic the gradient difference is ``Hd``, which
+    gives the exact step ``-g'd / d'Hd``, the new gradient and the new
+    objective without a line search; the iterates are those of conjugate
+    gradients (Nazareth 1979).
 
     Parameters
     ----------
     evaluate : callable
-        Maps a flat vector to ``(f, grad)``.
+        Maps a flat vector to ``(f, grad)`` of a quadratic whose Hessian is
+        positive definite.
     x0 : ndarray
         Starting point.
     memory : int
@@ -156,15 +86,15 @@ def lbfgs_minimize(
         Stop once ``||grad|| / max(1, ||x||) <= grad_tol``.
     precondition : callable, optional
         A fixed symmetric positive definite ``v -> P^-1 v``, P close to the
-        Hessian. It replaces the initial ``s'y / y'y`` scaling of the two-loop
-        recursion and gives the restart direction ``-P^-1 g``; the first
-        trial step is then 1 instead of ``1 / ||g||``.
+        Hessian: the two-loop recursion's initial inverse Hessian, which is
+        the identity when omitted.
 
     Returns
     -------
     MinimizeResult
-        ``status`` is "converged", "max_iter", or "line_search_failed"; the
-        last iterate with the lowest seen objective is always returned.
+        ``status`` is "converged" or "max_iter". A non-finite evaluation, or
+        a curvature ``d'Hd`` that is not positive and finite (the function is
+        not a strictly convex quadratic), raises ``NumericalError``.
     """
     if memory < 1 or max_iter < 1 or not grad_tol > 0:
         raise ValueError("memory and max_iter must be >= 1 and grad_tol positive")
@@ -173,17 +103,16 @@ def lbfgs_minimize(
         raise ValueError("x0 must be a flat vector")
     f, g = evaluate(x)
     _check_pair(f, g)
-    n_evals = 1
+    g = np.array(g, dtype=np.float64)
     gnorm = float(np.linalg.norm(g))
     trace: list[tuple[int, float, float, float]] = [(0, f, gnorm, 0.0)]
     pairs: deque = deque(maxlen=memory)
-    status = "max_iter"
     iteration = 0
 
-    while iteration < max_iter:
-        if gnorm / max(1.0, float(np.linalg.norm(x))) <= grad_tol:
-            status = "converged"
-            break
+    def converged() -> bool:
+        return gnorm / max(1.0, float(np.linalg.norm(x))) <= grad_tol
+
+    while iteration < max_iter and not converged():
         # Two-loop recursion.
         q = g.copy()
         alphas = []
@@ -193,47 +122,32 @@ def lbfgs_minimize(
             q -= a * y
         if precondition is not None:
             q = precondition(q)
-        elif pairs:
-            s, y, _ = pairs[-1]
-            q *= float(s @ y) / float(y @ y)
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
             b = rho * float(y @ q)
             q += (a - b) * s
-        direction = -q
-        if float(g @ direction) >= 0:
-            # Stale curvature produced a non-descent direction; restart.
-            pairs.clear()
-            direction = -g if precondition is None else -precondition(g)
-        first_unscaled = iteration == 0 and precondition is None
-        alpha0 = min(1.0, 1.0 / max(gnorm, 1e-16)) if first_unscaled else 1.0
-        result = _strong_wolfe(evaluate, x, f, g, direction, alpha0)
-        if result is None:
-            status = "line_search_failed"
-            logger.warning(
-                "line search failed at iteration %d (f=%.6e, ||g||=%.3e); returning best iterate",
-                iteration + 1, f, gnorm,
-            )
-            break
-        alpha, f_new, g_new, evals = result
-        n_evals += evals
-        s = alpha * direction
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > _PAIR_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            pairs.append((s, y, 1.0 / sy))
-        x = x + s
-        f, g = f_new, g_new
+        d = np.negative(q, out=q)
+        f_trial, g_trial = evaluate(x + d)
+        _check_pair(f_trial, g_trial)
+        hd = g_trial - g
+        curv = float(hd @ d)
+        if not 0.0 < curv < np.inf:
+            raise NumericalError(f"curvature d'Hd = {curv:.3e}: not a strictly convex quadratic")
+        gd = float(g @ d)
+        alpha = -gd / curv
+        s = np.multiply(d, alpha, out=d)
+        y = np.multiply(hd, alpha, out=hd)
+        pairs.append((s, y, 1.0 / (alpha * alpha * curv)))
+        x += s
+        g += y
+        f += 0.5 * alpha * gd
         gnorm = float(np.linalg.norm(g))
         iteration += 1
         trace.append((iteration, f, gnorm, alpha))
-    else:
-        status = "max_iter"
 
-    if status == "max_iter" and gnorm / max(1.0, float(np.linalg.norm(x))) <= grad_tol:
-        status = "converged"
     return MinimizeResult(
-        x=x, f=f, grad_norm=gnorm, iterations=iteration, status=status,
-        trace=trace, n_evaluations=n_evals,
+        x=x, f=f, grad_norm=gnorm, iterations=iteration,
+        status="converged" if converged() else "max_iter",
+        trace=trace, n_evaluations=iteration + 1,
     )
 
 
@@ -253,6 +167,8 @@ def finite_diff_check(
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be >= 1, got {n_directions}")
     x = np.asarray(x, dtype=np.float64)
     f0, g = evaluate(x)
     _check_pair(f0, g)
@@ -271,7 +187,7 @@ def finite_diff_check(
             worst = max(worst, err)
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(max(n_directions, 20)):
+        for _ in range(n_directions):
             d = rng.standard_normal(x.size)
             d /= np.linalg.norm(d)
             f_plus = evaluate(x + step * d)[0]

@@ -39,11 +39,9 @@ def test_quadratic_converges_to_solver_solution(d, seed):
 
 def test_matches_normal_equations_tightly():
     evaluate, x_star, A, b = quadratic_problem(30, seed=7, cond=200.0)
-    # grad_tol well past what the objective gap needs; the line search may
-    # bottom out at float precision first, which still returns the best
-    # iterate seen.
     result = lbfgs_minimize(evaluate, np.zeros(30), memory=30, max_iter=500, grad_tol=1e-9)
-    assert result.status != "max_iter"
+    assert result.converged
+    assert result.n_evaluations == result.iterations + 1
     f_opt = 0.5 * float(result.x @ (A @ result.x)) - float(b @ result.x)
     f_star = 0.5 * float(x_star @ (A @ x_star)) - float(b @ x_star)
     assert f_opt - f_star <= 1e-8 * max(1.0, abs(f_star))
@@ -65,7 +63,7 @@ def test_exact_inverse_hessian_preconditioner_converges_in_one_iteration():
     )
     assert result.converged
     assert result.iterations == 1
-    assert result.trace[1][3] == 1.0  # the first trial step is 1
+    assert result.trace[1][3] == pytest.approx(1.0, abs=1e-12)  # the exact step is 1
     np.testing.assert_allclose(result.x, x_star, rtol=1e-8, atol=1e-10)
 
 
@@ -89,28 +87,12 @@ def test_diagonal_preconditioner_cuts_iterations_on_a_badly_scaled_quadratic():
     np.testing.assert_allclose(jacobi.x, np.linalg.solve(A, b), rtol=1e-4, atol=1e-6)
 
 
-def test_line_search_failure_on_unbounded_descent():
+def test_zero_curvature_raises():
     def evaluate(x):
         return float(x[0]), np.array([1.0])
 
-    result = lbfgs_minimize(evaluate, np.zeros(1), max_iter=50)
-    assert result.status == "line_search_failed"
-    assert not result.converged
-
-
-def test_rosenbrock_reaches_global_minimum():
-    def evaluate(x):
-        a, b = x
-        f = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-        g = np.array([
-            -2 * (1 - a) - 400 * a * (b - a * a),
-            200 * (b - a * a),
-        ])
-        return f, g
-
-    result = lbfgs_minimize(evaluate, np.array([-1.2, 1.0]), memory=10, max_iter=200, grad_tol=1e-10)
-    assert result.converged
-    np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-6)
+    with pytest.raises(NumericalError):
+        lbfgs_minimize(evaluate, np.zeros(1), max_iter=50)
 
 
 def test_starting_at_minimum_returns_immediately():
@@ -194,7 +176,8 @@ def test_gradient_check_flags_corrupted_coordinate():
     assert err > 1e-2
 
 
-def test_gradient_check_uses_directions_for_large_states():
+@pytest.mark.parametrize("n_directions", [3, 20])
+def test_gradient_check_uses_directions_for_large_states(n_directions):
     d = 10_001
     calls = {"n": 0}
 
@@ -203,13 +186,19 @@ def test_gradient_check_uses_directions_for_large_states():
         return 0.5 * float(x @ x), x
 
     x = np.random.default_rng(1).standard_normal(d)
-    err = finite_diff_check(evaluate, x, step=1e-4, n_directions=20, seed=0)
+    err = finite_diff_check(evaluate, x, step=1e-4, n_directions=n_directions, seed=0)
     assert err <= 1e-6
     # 1 analytic call plus two per direction: far fewer than 2d.
-    assert calls["n"] == 1 + 2 * 20
+    assert calls["n"] == 1 + 2 * n_directions
 
 
 def test_gradient_check_rejects_bad_step():
     evaluate = lambda x: (float(x @ x), 2 * x)
     with pytest.raises(ValueError):
         finite_diff_check(evaluate, np.zeros(3), step=0.0)
+
+
+def test_gradient_check_rejects_fewer_than_one_direction():
+    evaluate = lambda x: (float(x @ x), 2 * x)
+    with pytest.raises(ValueError):
+        finite_diff_check(evaluate, np.zeros(3), step=1e-4, n_directions=0)

@@ -118,16 +118,23 @@ def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, c
     problem = _edge_case_problem(case, seed, lam, 0.7, dt)
     x_star = oracles.normal_equations_solution(problem)
     f_star = oracles.dense_objective(problem, x_star)
-    result = lbfgs_minimize(
-        lambda x: objective_and_gradient(problem, x),
-        np.zeros(problem.state_size),
-        memory=5,
-        precondition=block_preconditioner(problem),
-    )
-    assert result.status == "converged"
-    assert abs(objective(problem, result.x) - f_star) <= 1e-8
-    if lam == 0:
-        assert result.iterations <= 2
+    # 1e-10 is far below what the objective gap needs; the solve must still
+    # report convergence.
+    for grad_tol in (1e-6, 1e-10):
+        result = lbfgs_minimize(
+            lambda x: objective_and_gradient(problem, x),
+            np.zeros(problem.state_size),
+            memory=5,
+            grad_tol=grad_tol,
+            precondition=block_preconditioner(problem),
+        )
+        assert result.status == "converged", grad_tol
+        assert abs(objective(problem, result.x) - f_star) <= 1e-8
+        # The solver updates the gradient recursively; a fresh one must agree.
+        fresh = np.linalg.norm(objective_and_gradient(problem, result.x)[1])
+        assert fresh / max(1.0, np.linalg.norm(result.x)) <= grad_tol
+        if lam == 0 and grad_tol == 1e-6:
+            assert result.iterations <= 2
 
 
 def test_fused_call_is_bit_identical_to_separate_calls():
