@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ingest, synth, factorize, smooth, evaluate, sweep, checkgrad.
-Every numeric option can also come from a ``--config`` file of flat
-``key=value`` lines; explicit flags win over the file, the file wins over
-built-in defaults. One ``--seed`` governs all randomness of a command.
+Any option of a command can also come from a ``--config`` file of flat
+``key=value`` lines keyed by dest name (``lambda``, ``max_iter``, ``eta``);
+flags win over the file, the file over the defaults that ``--help`` shows.
+One ``--seed`` governs all randomness of a command.
 
 Exit codes: 0 on success, 1 on numerical failure (non-finite values or a
 flagged optimizer), 2 on input errors (unreadable or malformed files, bad
@@ -15,6 +16,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -47,76 +50,71 @@ from .ingest import (
 from .optim import write_trace
 
 logger = logging.getLogger(__name__)
+_K = 5  # the default latent rank of synth, factorize, smooth and sweep
 
 
-def _load_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the ``key=value`` lines of ``--config`` the defaults of ``args.command``.
+
+    Keys are option dest names (``lambda`` for ``lam``); keys that name no
+    option of the command are ignored. Parsing again then converts each
+    value with its option's ``type``, and explicit flags still win.
+    """
+    values: dict[str, str | bool] = {}
+    with open(args.config, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise DataFormatError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-class _Resolver:
-    """Implements the CLI > config-file > default precedence."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, dest: str, default, cast=float, key: str | None = None):
-        value = getattr(self.args, dest, None)
-        if value is not None:
-            return value
-        key = key or dest
-        if key in self.file_values:
-            raw = self.file_values[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        return default
+                raise DataFormatError(f"{args.config}:{line_no}: expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            values["lam" if key == "lambda" else key] = value
+    if "align_factors" in values:  # --no-align has no type to convert with
+        values["align_factors"] = values["align_factors"].lower() in ("1", "true", "yes", "on")
+    options = vars(args).keys() - {"func", "command", "config"}
+    command = parser._subparsers._group_actions[0].choices[args.command]
+    command.set_defaults(**{key: values[key] for key in values.keys() & options})
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=None, help="latent rank (default 5)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="social penalty weight (default 0)")
-    p.add_argument("--sigma", type=float, default=None, help="measurement noise scale (default 1)")
-    p.add_argument("--dt", type=float, default=None, help="bin spacing (default 1)")
-    p.add_argument("--gamma", type=float, default=None, help="ridge weight of the initializer (default 1)")
-    p.add_argument("--max-iter", type=int, default=None, help="optimizer iteration cap (default 500)")
-    p.add_argument("--grad-tol", type=float, default=None, help="gradient stopping tolerance (default 1e-6)")
-    p.add_argument("--no-align", action="store_true", help="skip rotating bins into a common frame")
+    p.add_argument("--k", type=int, default=_K, help="latent rank (default %(default)s)")
+    p.add_argument("--lambda", dest="lam", type=float, default=SmootherConfig.lam,
+                   help="social penalty weight (default %(default)s)")
+    p.add_argument("--sigma", type=float, default=SmootherConfig.sigma,
+                   help="measurement noise scale (default %(default)s)")
+    p.add_argument("--dt", type=float, default=SmootherConfig.dt, help="bin spacing (default %(default)s)")
+    p.add_argument("--gamma", type=float, default=SmootherConfig.gamma,
+                   help="ridge weight of the initializer (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=SmootherConfig.max_iter,
+                   help="optimizer iteration cap (default %(default)s)")
+    p.add_argument("--grad-tol", type=float, default=SmootherConfig.grad_tol,
+                   help="gradient stopping tolerance (default %(default)s)")
+    p.add_argument("--no-align", dest="align_factors", action="store_false",
+                   default=SmootherConfig.align_factors, help="skip rotating bins into a common frame")
+
+
+def _add_split_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="dataset directory from ingest or synth")
+    p.add_argument("--split-fraction", type=float, default=0.5,
+                   help="train share per bin (default %(default)s)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="seed for all randomness (default 0)")
-    p.add_argument("--config", default=None, help="key=value file; flags override it")
-    p.add_argument("--threads", type=int, default=None, help="worker threads for per-bin loops (default 1)")
+    p.add_argument("--seed", type=int, default=SmootherConfig.seed,
+                   help="seed for all randomness (default %(default)s)")
+    p.add_argument("--config", default=None, help="key=value file of option defaults; flags override it")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default %(default)s)")
 
 
-def _smoother_config(res: _Resolver) -> SmootherConfig:
-    if getattr(res.args, "no_align", False):
-        align = False
-    else:
-        align = res.get("align_factors", True, bool)
-    return SmootherConfig(
-        k=res.get("k", 5, int),
-        dt=res.get("dt", 1.0),
-        sigma=res.get("sigma", 1.0),
-        lam=res.get("lam", 0.0, key="lambda"),
-        gamma=res.get("gamma", 1.0),
-        max_iter=res.get("max_iter", 500, int),
-        grad_tol=res.get("grad_tol", 1e-6),
-        align_factors=align,
-        seed=res.get("seed", 0, int),
-    )
+def _smoother_config(args: argparse.Namespace) -> SmootherConfig:
+    return SmootherConfig(**{f.name: getattr(args, f.name) for f in fields(SmootherConfig)})
+
+
+def _load_split(args: argparse.Namespace):
+    """The ``--data`` ratings split by ``--split-fraction`` and ``--seed``, and the trust timeline."""
+    ratings, trust, _, _ = load_dataset(args.data)
+    return split_train_test(ratings, args.split_fraction, args.seed), trust
 
 
 def _parse_cutoffs(spec: str, date_format: str) -> list[int]:
@@ -146,12 +144,10 @@ def _print_dataset(ratings, trust, out) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
     fmt = TableFormat(delimiter=args.delimiter, date_format=args.date_format)
     ratings = parse_ratings(args.ratings, fmt)
     edges = parse_trust(args.trust, fmt)
-    threshold = res.get("min_ratings", 10, int)
-    kept = filter_min_ratings(ratings, threshold)
+    kept = filter_min_ratings(ratings, args.min_ratings)
     cutoffs = _parse_cutoffs(args.cutoffs, args.date_format)
     timeline, trust, user_map, item_map = bin_timelines(kept, edges, cutoffs)
     save_dataset(args.out, timeline, trust, user_map, item_map)
@@ -160,12 +156,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    seed = res.get("seed", 0, int)
     split, trust, truth = synth_generate(
-        m=args.m, n=args.n, k=res.get("k", 5, int), N=args.bins,
+        m=args.m, n=args.n, k=args.k, N=args.bins,
         samples_per_bin=args.samples_per_bin, trust_edges=args.trust_edges,
-        eta=args.eta, noise_std=args.noise_std, seed=seed,
+        eta=args.eta, noise_std=args.noise_std, seed=args.seed,
     )
     merged = merge_split(split)
     out = Path(args.out)
@@ -179,39 +173,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    ratings, _, _, _ = load_dataset(args.data)
-    config = _smoother_config(res)
-    split = split_train_test(ratings, res.get("split_fraction", 0.5), config.seed)
-    factors = init_timeline(
-        split, config,
-        iters=res.get("iters", 30, int),
-        n_jobs=res.get("threads", 1, int),
-    )
+    split, _ = _load_split(args)
+    factors = init_timeline(split, _smoother_config(args), iters=args.iters, n_jobs=args.threads)
     save_factors(args.out, factors)
-    per_bin, weighted = evaluate_rmse(factors, split.test)
-    _print_rmse(per_bin, weighted)
+    _print_rmse(*evaluate_rmse(factors, split.test))
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_smooth(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    ratings, trust, _, _ = load_dataset(args.data)
-    config = _smoother_config(res)
-    split = split_train_test(ratings, res.get("split_fraction", 0.5), config.seed)
-    factors = None
-    if args.factors:
-        factors = load_factors(args.factors)
-        if factors.k != config.k:
-            raise DataFormatError(
-                f"checkpoint rank k={factors.k} does not match requested k={config.k}"
-            )
+    split, trust = _load_split(args)
+    config = _smoother_config(args)
+    factors = load_factors(args.factors) if args.factors else None
+    if factors is not None and factors.k != config.k:
+        raise DataFormatError(f"checkpoint rank k={factors.k} does not match requested k={config.k}")
     result = run_dynamic(split, trust, config, config.lam, factors=factors)
     out = Path(args.out)
     save_factors(out, result.factors)
-    trace_path = args.trace_out or (out / "trace.csv")
-    write_trace(trace_path, result.trace)
+    write_trace(args.trace_out or out / "trace.csv", result.trace)
     _print_rmse(result.rmse_per_bin, result.rmse_weighted)
     print(f"model={result.model}")
     print(f"iterations={result.iterations}")
@@ -225,26 +204,19 @@ def cmd_smooth(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    ratings, _, _, _ = load_dataset(args.data)
-    factors = load_factors(args.factors)
-    split = split_train_test(ratings, res.get("split_fraction", 0.5), res.get("seed", 0, int))
-    per_bin, weighted = evaluate_rmse(factors, split.test)
-    _print_rmse(per_bin, weighted)
+    split, _ = _load_split(args)
+    _print_rmse(*evaluate_rmse(load_factors(args.factors), split.test))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    ratings, trust, _, _ = load_dataset(args.data)
-    config = _smoother_config(res)
-    split = split_train_test(ratings, res.get("split_fraction", 0.5), config.seed)
-    ks = [int(v) for v in args.ks.split(",")] if args.ks else list(SWEEP_KS)
-    lambdas = [float(v) for v in args.lambdas.split(",")] if args.lambdas else list(SWEEP_LAMBDAS)
-    results = sweep(
-        split, trust, ks, lambdas, config,
-        csv_path=args.out, n_jobs=res.get("threads", 1, int),
-    )
+    split, trust = _load_split(args)
+    config = _smoother_config(args)
+    ks = [int(v) for v in args.ks.split(",")]
+    lambdas = [float(v) for v in args.lambdas.split(",")]
+    for k, lam in product(ks, lambdas):
+        replace(config, k=k, lam=lam)  # an out-of-range cell exits 2 before any solve
+    results = sweep(split, trust, ks, lambdas, config, csv_path=args.out, n_jobs=args.threads)
     failures = [r for r in results if r.status != "ok"]
     best = min(
         (r for r in results if r.status == "ok" and np.isfinite(r.rmse_weighted)),
@@ -265,15 +237,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_checkgrad(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
     problem = random_problem(
-        m=args.m, n=args.n, k=res.get("k", 3, int), N=args.bins,
+        m=args.m, n=args.n, k=args.k, N=args.bins,
         p_per_bin=args.p_per_bin, trust_edges=args.trust_edges,
-        lam=res.get("lam", 0.01, key="lambda"),
-        seed=res.get("seed", 0, int),
-        sigma=res.get("sigma", 1.0), dt=res.get("dt", 1.0),
+        lam=args.lam, seed=args.seed, sigma=args.sigma, dt=args.dt,
     )
-    err = check_gradient(problem, step=args.step, seed=res.get("seed", 0, int))
+    err = check_gradient(problem, step=args.step, seed=args.seed)
     print(f"max_relative_error={err:.3e}")
     if not err <= args.tol:
         logger.error("gradient check failed: %.3e > %.3e", err, args.tol)
@@ -294,10 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trust", required=True, help="trust file (user_a, user_b, date)")
     p.add_argument("--cutoffs", required=True,
                    help="bin boundaries: a file with one date per line, or a comma list")
-    p.add_argument("--min-ratings", type=int, default=None,
-                   help="drop users with at most this many ratings (default 10)")
-    p.add_argument("--delimiter", default="\t")
-    p.add_argument("--date-format", default="iso", help='"iso", "days", or a strptime pattern')
+    p.add_argument("--min-ratings", type=int, default=10,
+                   help="drop users with at most this many ratings (default %(default)s)")
+    p.add_argument("--delimiter", default="\t", help="field separator (default: tab)")
+    p.add_argument("--date-format", default="iso",
+                   help='"iso", "days", or a strptime pattern (default %(default)s)')
     p.add_argument("--out", required=True, help="output dataset directory")
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
@@ -305,29 +275,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset with known ground truth")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=_K, help="latent rank (default %(default)s)")
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--samples-per-bin", type=int, required=True)
     p.add_argument("--trust-edges", type=int, required=True)
-    p.add_argument("--eta", type=float, default=0.05, help="consensus pull per bin")
-    p.add_argument("--noise-std", type=float, default=0.5)
+    p.add_argument("--eta", type=float, default=0.05, help="consensus pull per bin (default %(default)s)")
+    p.add_argument("--noise-std", type=float, default=0.5, help="rating noise (default %(default)s)")
     p.add_argument("--out", required=True, help="output dataset directory")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("factorize", help="fit per-bin static factors and write a checkpoint")
-    p.add_argument("--data", required=True, help="dataset directory from ingest or synth")
-    p.add_argument("--iters", type=int, default=None, help="alternating iterations (default 30)")
-    p.add_argument("--split-fraction", type=float, default=None, help="train share per bin (default 0.5)")
+    _add_split_flags(p)
+    p.add_argument("--iters", type=int, default=30, help="alternating iterations (default %(default)s)")
     p.add_argument("--out", required=True, help="output checkpoint directory")
     _add_model_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("smooth", help="smooth user trajectories and write a checkpoint")
-    p.add_argument("--data", required=True)
+    _add_split_flags(p)
     p.add_argument("--factors", default=None, help="optional static checkpoint to warm-start from")
-    p.add_argument("--split-fraction", type=float, default=None)
     p.add_argument("--out", required=True, help="output checkpoint directory")
     p.add_argument("--trace-out", default=None, help="trace CSV path (default <out>/trace.csv)")
     _add_model_flags(p)
@@ -335,42 +303,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("evaluate", help="score a factor checkpoint on the held-out half")
-    p.add_argument("--data", required=True)
+    _add_split_flags(p)
     p.add_argument("--factors", required=True, help="checkpoint directory")
-    p.add_argument("--split-fraction", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="grid over ranks and social weights; write results CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ks", default=None, help="comma list of ranks (default 5,10,15,20)")
-    p.add_argument("--lambdas", default=None,
-                   help="comma list of social weights (default 1e-5,...,1)")
-    p.add_argument("--split-fraction", type=float, default=None)
+    _add_split_flags(p)
+    p.add_argument("--ks", default=",".join(map(str, SWEEP_KS)),
+                   help="comma list of ranks (default %(default)s)")
+    p.add_argument("--lambdas", default=",".join(map(str, SWEEP_LAMBDAS)),
+                   help="comma list of social weights (default %(default)s)")
     p.add_argument("--out", required=True, help="results CSV path")
     _add_model_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("checkgrad", help="verify the smoother gradient on a random instance")
-    p.add_argument("--m", type=int, default=20)
-    p.add_argument("--n", type=int, default=15)
-    p.add_argument("--bins", type=int, default=4)
-    p.add_argument("--p-per-bin", type=int, default=60)
-    p.add_argument("--trust-edges", type=int, default=30)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--m", type=int, default=20, help="users (default %(default)s)")
+    p.add_argument("--n", type=int, default=15, help="items (default %(default)s)")
+    p.add_argument("--bins", type=int, default=4, help="time bins (default %(default)s)")
+    p.add_argument("--p-per-bin", type=int, default=60, help="ratings per bin (default %(default)s)")
+    p.add_argument("--trust-edges", type=int, default=30, help="trust edges (default %(default)s)")
+    p.add_argument("--step", type=float, default=1e-3, help="finite-difference step (default %(default)s)")
+    p.add_argument("--tol", type=float, default=1e-6, help="largest relative error (default %(default)s)")
     _add_model_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_checkgrad)
+    p.set_defaults(func=cmd_checkgrad, k=3, lam=0.01)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
+        if args.config:
+            _set_config_defaults(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

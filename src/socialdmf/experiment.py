@@ -210,13 +210,14 @@ def sweep(
     """Run static, dynamic, and dynamic_social over a (k, lambda) grid.
 
     Static factors are computed once per k and shared by every run at that
-    rank. A failing run is recorded with an error status and the sweep
-    continues. Row order is deterministic regardless of ``n_jobs``.
+    rank. Each distinct cell runs once, in first-seen order; a lambda of 0
+    is the dynamic run. A failing run is recorded with an error status and
+    the sweep continues. Row order is deterministic regardless of ``n_jobs``.
     """
-    cells: list[Optional[float]] = [None, 0.0] + [float(l) for l in lambdas]
+    cells = list(dict.fromkeys([None, 0.0, *map(float, lambdas)]))
     results: list[ExperimentResult] = []
-    for k in ks:
-        config_k = dataclasses.replace(config, k=int(k))
+    for k in dict.fromkeys(map(int, ks)):
+        config_k = dataclasses.replace(config, k=k)
         try:
             factors = init_timeline(split, config_k, n_jobs=n_jobs)
         except Exception as exc:  # noqa: BLE001 - a sweep must survive one bad cell

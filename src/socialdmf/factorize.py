@@ -171,7 +171,6 @@ def init_timeline(
     split: SplitTimeline,
     config: SmootherConfig,
     iters: int = 30,
-    tol: float = 1e-6,
     n_jobs: int = 1,
 ) -> FactorTimeline:
     """Factorize every bin of the training half independently.
@@ -192,7 +191,7 @@ def init_timeline(
             )
         pair, _ = factorize_bin(
             train.bin(t), train.m, train.n, config.k, config.gamma,
-            iters=iters, seed=children[t], tol=tol,
+            iters=iters, seed=children[t],
         )
         return pair
 

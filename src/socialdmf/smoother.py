@@ -52,8 +52,6 @@ class SmootherProblem:
         One per bin. ``None`` builds the problem with no social term at all,
         which is also the behaviour when ``config.lam == 0``.
     config : SmootherConfig
-    x0_position : ndarray, optional
-        m-by-k anchor position for bin 0. Defaults to ``factors[0].U``.
     """
 
     def __init__(
@@ -62,7 +60,6 @@ class SmootherProblem:
         factors: FactorTimeline,
         laplacians: Optional[Sequence[LaplacianOperator]],
         config: SmootherConfig,
-        x0_position: Optional[np.ndarray] = None,
     ) -> None:
         if factors.N != train.N:
             raise ValueError(f"factors cover {factors.N} bins, ratings cover {train.N}")
@@ -94,12 +91,7 @@ class SmootherProblem:
         self.k = config.k
         self.N = train.N
 
-        if x0_position is None:
-            x0_position = factors[0].U
-        x0_position = np.array(x0_position, dtype=np.float64)
-        if x0_position.shape != (self.m, self.k):
-            raise ValueError(f"anchor position must be {self.m}x{self.k}, got {x0_position.shape}")
-        self.x0_position = x0_position
+        self.x0_position = np.array(factors[0].U, dtype=np.float64)
         self.z = np.concatenate(train.values)
         # H has one 1-by-k block per observation l of bin t: V_t[j_l], in the
         # block column of user i_l's row of bin t's position block.

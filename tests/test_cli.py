@@ -1,10 +1,12 @@
 import csv
+import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from socialdmf import load_dataset, load_factors
-from socialdmf.cli import main
+from socialdmf import SmootherConfig, load_dataset, load_factors
+from socialdmf.cli import build_parser, main
 
 
 def out_lines(capsys):
@@ -204,12 +206,21 @@ def test_sweep_exits_1_when_solves_stop_at_max_iter(synth_dataset, tmp_path, cap
     assert status[sweep_cell(*best[0].split()[1:4])] == "ok"
 
 
-def test_sweep_flags_failing_cells(synth_dataset, tmp_path):
-    rc = main([
-        "sweep", "--data", str(synth_dataset), "--ks", "2", "--lambdas", "-1",
-        "--max-iter", "20", "--out", str(tmp_path / "s.csv"),
-    ])
-    assert rc == 1
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(["--lambdas", "nan"], id="lambdas=nan"),
+        pytest.param(["--lambdas", "-1"], id="lambdas=-1"),
+        pytest.param(["--ks", "2,0"], id="ks=2,0"),
+    ],
+)
+def test_sweep_rejects_out_of_range_grid(synth_dataset, tmp_path, capsys, grid):
+    csv_path = tmp_path / "s.csv"
+    argv = ["sweep", "--data", str(synth_dataset), "--ks", "2", "--lambdas", "0.01"]
+    rc = main(argv + grid + ["--max-iter", "20", "--out", str(csv_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_checkgrad_passes_by_default(capsys):
@@ -396,3 +407,83 @@ def test_threads_do_not_change_results(synth_dataset, tmp_path):
     assert main(base + ["--threads", "3", "--out", str(b)]) == 0
     for name in sorted(p.name for p in a.iterdir()):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_config_file_matches_the_same_flags(synth_dataset, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("k=2\nlambda=0.01\nalign_factors=false\n")
+    base = ["smooth", "--data", str(synth_dataset), "--gamma", "0.5"]
+    from_flags = main(base + ["--k", "2", "--lambda", "0.01", "--no-align", "--out", str(tmp_path / "a")])
+    from_file = main(base + ["--config", str(config), "--out", str(tmp_path / "b")])
+    assert from_flags == from_file == 0
+    same_files(tmp_path / "a", tmp_path / "b")  # U.npy, V.npy and trace.csv
+
+
+def test_config_file_reaches_synth_options(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("eta=0.2\n")
+    base = [
+        "synth", "--m", "8", "--n", "6", "--k", "2", "--bins", "3",
+        "--samples-per-bin", "12", "--trust-edges", "4", "--seed", "3",
+    ]
+    assert main(base + ["--eta", "0.2", "--out", str(tmp_path / "flag")]) == 0
+    assert main(base + ["--config", str(config), "--out", str(tmp_path / "file")]) == 0
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    same_files(tmp_path / "flag", tmp_path / "file")
+    truth = np.load(tmp_path / "file" / "truth_U.npy")
+    assert not np.array_equal(truth, np.load(tmp_path / "default" / "truth_U.npy"))
+
+
+def test_config_value_of_the_wrong_type_exits_2(synth_dataset, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("k=abc\n")
+    with pytest.raises(SystemExit) as exc:  # the exit status the console script gives
+        sys.exit(main([
+            "factorize", "--data", str(synth_dataset), "--config", str(config),
+            "--out", str(tmp_path / "c"),
+        ]))
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_console_entry_point_reads_config_from_sys_argv(tmp_path, monkeypatch):
+    config = tmp_path / "run.cfg"
+    config.write_text("k=3\n")
+    out = tmp_path / "data"
+    monkeypatch.setattr(sys, "argv", [
+        "socialdmf", "synth", "--m", "8", "--n", "6", "--bins", "2",
+        "--samples-per-bin", "12", "--trust-edges", "4", "--config", str(config),
+        "--out", str(out),
+    ])
+    assert main() == 0
+    assert np.load(out / "truth_V.npy").shape == (6, 3)
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "synth", "factorize", "smooth", "evaluate", "sweep", "checkgrad"]
+)
+def test_every_subcommand_help_renders(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "usage: socialdmf " + command in capsys.readouterr().out
+
+
+def test_cli_defaults_come_from_smoother_config(capsys):
+    with pytest.raises(SystemExit):
+        main(["factorize", "--help"])
+    assert "latent rank (default 5)" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["checkgrad", "--help"])
+    assert "latent rank (default 3)" in capsys.readouterr().out
+    args = build_parser().parse_args(["factorize", "--data", "d", "--out", "o"])
+    defaults = {f.name: f.default for f in fields(SmootherConfig) if f.default is not MISSING}
+    assert {name: getattr(args, name) for name in defaults} == defaults

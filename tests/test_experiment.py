@@ -240,6 +240,15 @@ def test_sweep_survives_a_failing_cell(small_synth, caplog):
     assert statuses[2].startswith("error")
 
 
+def test_sweep_runs_each_distinct_cell_once(small_synth):
+    split, trust, _ = small_synth
+    config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=30)
+    results = sweep(split, trust, ks=[2, 2], lambdas=[0.0, 0.01, 0.01], config=config)
+    assert [(r.model, r.k, r.lam) for r in results] == [
+        ("static", 2, None), ("dynamic", 2, 0.0), ("dynamic_social", 2, 0.01),
+    ]
+
+
 def test_sweep_threads_match_sequential(small_synth):
     split, trust, _ = small_synth
     config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=25)

@@ -217,7 +217,6 @@ def test_social_term_scales_exactly_with_lambda():
     social_problem = SmootherProblem(
         base.train, base.factors, laplacians,
         SmootherConfig(k=base.k, lam=lam, sigma=base.config.sigma, seed=0),
-        x0_position=base.x0_position,
     )
     x = np.random.default_rng(8).standard_normal(base.state_size)
     state = SmootherState(x=x, N=base.N, m=base.m, k=base.k)
