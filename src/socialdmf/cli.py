@@ -4,7 +4,8 @@ Subcommands: ingest, synth, factorize, smooth, evaluate, sweep, checkgrad.
 Any option of a command can also come from a ``--config`` file of flat
 ``key=value`` lines keyed by dest name (``lambda``, ``max_iter``, ``eta``);
 flags win over the file, the file over the defaults that ``--help`` shows.
-One ``--seed`` governs all randomness of a command.
+Each command registers only the options it reads. One ``--seed`` governs
+all randomness of every command but ``ingest``, which draws none.
 
 Exit codes: 0 on success, 1 on numerical failure (non-finite values or a
 flagged optimizer), 2 on input errors (unreadable or malformed files, bad
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -50,10 +51,10 @@ from .ingest import (
 from .optim import write_trace
 
 logger = logging.getLogger(__name__)
-_K = 5  # the default latent rank of synth, factorize, smooth and sweep
+_K = 5  # the default latent rank of synth, factorize and smooth
 
 
-def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _set_config_defaults(args: argparse.Namespace) -> None:
     """Make the ``key=value`` lines of ``--config`` the defaults of ``args.command``.
 
     Keys are option dest names (``lambda`` for ``lam``); keys that name no
@@ -72,26 +73,33 @@ def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespa
             values["lam" if key == "lambda" else key] = value
     if "align_factors" in values:  # --no-align has no type to convert with
         values["align_factors"] = values["align_factors"].lower() in ("1", "true", "yes", "on")
-    options = vars(args).keys() - {"func", "command", "config"}
-    command = parser._subparsers._group_actions[0].choices[args.command]
-    command.set_defaults(**{key: values[key] for key in values.keys() & options})
+    options = vars(args).keys() - {"func", "command", "commands", "config"}
+    args.commands[args.command].set_defaults(**{key: values[key] for key in values.keys() & options})
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=_K, help="latent rank (default %(default)s)")
-    p.add_argument("--lambda", dest="lam", type=float, default=SmootherConfig.lam,
-                   help="social penalty weight (default %(default)s)")
-    p.add_argument("--sigma", type=float, default=SmootherConfig.sigma,
-                   help="measurement noise scale (default %(default)s)")
-    p.add_argument("--dt", type=float, default=SmootherConfig.dt, help="bin spacing (default %(default)s)")
-    p.add_argument("--gamma", type=float, default=SmootherConfig.gamma,
-                   help="ridge weight of the initializer (default %(default)s)")
-    p.add_argument("--max-iter", type=int, default=SmootherConfig.max_iter,
-                   help="optimizer iteration cap (default %(default)s)")
-    p.add_argument("--grad-tol", type=float, default=SmootherConfig.grad_tol,
-                   help="gradient stopping tolerance (default %(default)s)")
-    p.add_argument("--no-align", dest="align_factors", action="store_false",
-                   default=SmootherConfig.align_factors, help="skip rotating bins into a common frame")
+def _add_model_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register the named ``SmootherConfig`` fields as options of ``p``, each with its default."""
+    flags = {
+        "k": ("--k", dict(type=int, default=_K, help="latent rank (default %(default)s)")),
+        "lam": ("--lambda", dict(type=float, default=SmootherConfig.lam,
+                                 help="social penalty weight (default %(default)s)")),
+        "sigma": ("--sigma", dict(type=float, default=SmootherConfig.sigma,
+                                  help="measurement noise scale (default %(default)s)")),
+        "dt": ("--dt", dict(type=float, default=SmootherConfig.dt, help="bin spacing (default %(default)s)")),
+        "gamma": ("--gamma", dict(type=float, default=SmootherConfig.gamma,
+                                  help="ridge weight of the initializer (default %(default)s)")),
+        "max_iter": ("--max-iter", dict(type=int, default=SmootherConfig.max_iter,
+                                        help="optimizer iteration cap (default %(default)s)")),
+        "grad_tol": ("--grad-tol", dict(type=float, default=SmootherConfig.grad_tol,
+                                        help="gradient stopping tolerance (default %(default)s)")),
+        "align_factors": ("--no-align", dict(action="store_false", default=SmootherConfig.align_factors,
+                                             help="skip rotating bins into a common frame")),
+        "seed": ("--seed", dict(type=int, default=SmootherConfig.seed,
+                                help="seed for all randomness (default %(default)s)")),
+    }
+    for name in names:
+        flag, options = flags[name]
+        p.add_argument(flag, dest=name, **options)
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:
@@ -100,15 +108,10 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
                    help="train share per bin (default %(default)s)")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=SmootherConfig.seed,
-                   help="seed for all randomness (default %(default)s)")
-    p.add_argument("--config", default=None, help="key=value file of option defaults; flags override it")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default %(default)s)")
-
-
 def _smoother_config(args: argparse.Namespace) -> SmootherConfig:
-    return SmootherConfig(**{f.name: getattr(args, f.name) for f in fields(SmootherConfig)})
+    """The ``SmootherConfig`` of the fields the command registered; the rest keep their defaults."""
+    given = vars(args)
+    return SmootherConfig(**{f.name: given[f.name] for f in fields(SmootherConfig) if f.name in given})
 
 
 def _load_split(args: argparse.Namespace):
@@ -211,12 +214,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     split, trust = _load_split(args)
-    config = _smoother_config(args)
     ks = [int(v) for v in args.ks.split(",")]
     lambdas = [float(v) for v in args.lambdas.split(",")]
-    for k, lam in product(ks, lambdas):
-        replace(config, k=k, lam=lam)  # an out-of-range cell exits 2 before any solve
-    results = sweep(split, trust, ks, lambdas, config, csv_path=args.out, n_jobs=args.threads)
+    # One config per cell, so an out-of-range cell exits 2 before any solve.
+    configs = [_smoother_config(argparse.Namespace(**vars(args), k=k, lam=lam))
+               for k, lam in product(ks, lambdas)]
+    results = sweep(split, trust, ks, lambdas, configs[0], csv_path=args.out, n_jobs=args.threads)
     failures = [r for r in results if r.status != "ok"]
     best = min(
         (r for r in results if r.status == "ok" and np.isfinite(r.rmse_weighted)),
@@ -257,8 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trust-aware dynamic matrix factorization via trajectory smoothing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="key=value file of option defaults; flags override it")
+    commands: dict[str, argparse.ArgumentParser] = {}
+    parser.set_defaults(commands=commands)  # how --config finds the command's own parser
 
-    p = sub.add_parser("ingest", help="parse raw dumps into a binned dataset directory")
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        # No abbreviations: sweep would read a dropped --lambda or --k as --lambdas or --ks.
+        commands[name] = sub.add_parser(name, help=help, parents=[config], allow_abbrev=False)
+        return commands[name]
+
+    p = add_command("ingest", help="parse raw dumps into a binned dataset directory")
     p.add_argument("--ratings", required=True, help="ratings file (user, item, value, date)")
     p.add_argument("--trust", required=True, help="trust file (user_a, user_b, date)")
     p.add_argument("--cutoffs", required=True,
@@ -269,57 +281,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--date-format", default="iso",
                    help='"iso", "days", or a strptime pattern (default %(default)s)')
     p.add_argument("--out", required=True, help="output dataset directory")
-    _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset with known ground truth")
+    p = add_command("synth", help="generate a synthetic dataset with known ground truth")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=_K, help="latent rank (default %(default)s)")
+    _add_model_flags(p, "k", "seed")
     p.add_argument("--bins", type=int, required=True)
     p.add_argument("--samples-per-bin", type=int, required=True)
     p.add_argument("--trust-edges", type=int, required=True)
     p.add_argument("--eta", type=float, default=0.05, help="consensus pull per bin (default %(default)s)")
     p.add_argument("--noise-std", type=float, default=0.5, help="rating noise (default %(default)s)")
     p.add_argument("--out", required=True, help="output dataset directory")
-    _add_common(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("factorize", help="fit per-bin static factors and write a checkpoint")
+    p = add_command("factorize", help="fit per-bin static factors and write a checkpoint")
     _add_split_flags(p)
     p.add_argument("--iters", type=int, default=30, help="alternating iterations (default %(default)s)")
     p.add_argument("--out", required=True, help="output checkpoint directory")
-    _add_model_flags(p)
-    _add_common(p)
+    _add_model_flags(p, "k", "gamma", "align_factors", "seed")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default %(default)s)")
     p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("smooth", help="smooth user trajectories and write a checkpoint")
+    p = add_command("smooth", help="smooth user trajectories and write a checkpoint")
     _add_split_flags(p)
     p.add_argument("--factors", default=None, help="optional static checkpoint to warm-start from")
     p.add_argument("--out", required=True, help="output checkpoint directory")
     p.add_argument("--trace-out", default=None, help="trace CSV path (default <out>/trace.csv)")
-    _add_model_flags(p)
-    _add_common(p)
+    _add_model_flags(p, *(f.name for f in fields(SmootherConfig)))
     p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("evaluate", help="score a factor checkpoint on the held-out half")
+    p = add_command("evaluate", help="score a factor checkpoint on the held-out half")
     _add_split_flags(p)
     p.add_argument("--factors", required=True, help="checkpoint directory")
-    _add_common(p)
+    _add_model_flags(p, "seed")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="grid over ranks and social weights; write results CSV")
+    p = add_command("sweep", help="grid over ranks and social weights; write results CSV")
     _add_split_flags(p)
     p.add_argument("--ks", default=",".join(map(str, SWEEP_KS)),
                    help="comma list of ranks (default %(default)s)")
     p.add_argument("--lambdas", default=",".join(map(str, SWEEP_LAMBDAS)),
                    help="comma list of social weights (default %(default)s)")
     p.add_argument("--out", required=True, help="results CSV path")
-    _add_model_flags(p)
-    _add_common(p)
+    _add_model_flags(p, "sigma", "dt", "gamma", "max_iter", "grad_tol", "align_factors", "seed")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("checkgrad", help="verify the smoother gradient on a random instance")
+    p = add_command("checkgrad", help="verify the smoother gradient on a random instance")
     p.add_argument("--m", type=int, default=20, help="users (default %(default)s)")
     p.add_argument("--n", type=int, default=15, help="items (default %(default)s)")
     p.add_argument("--bins", type=int, default=4, help="time bins (default %(default)s)")
@@ -327,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trust-edges", type=int, default=30, help="trust edges (default %(default)s)")
     p.add_argument("--step", type=float, default=1e-3, help="finite-difference step (default %(default)s)")
     p.add_argument("--tol", type=float, default=1e-6, help="largest relative error (default %(default)s)")
-    _add_model_flags(p)
-    _add_common(p)
+    _add_model_flags(p, "k", "lam", "sigma", "dt", "seed")
     p.set_defaults(func=cmd_checkgrad, k=3, lam=0.01)
 
     return parser
@@ -340,7 +348,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.config:
-            _set_config_defaults(parser, args)
+            _set_config_defaults(args)
             args = parser.parse_args(argv)
         return args.func(args)
     except NumericalError as exc:

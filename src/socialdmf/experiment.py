@@ -214,6 +214,8 @@ def sweep(
     is the dynamic run. A failing run is recorded with an error status and
     the sweep continues. Row order is deterministic regardless of ``n_jobs``.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     cells = list(dict.fromkeys([None, 0.0, *map(float, lambdas)]))
     results: list[ExperimentResult] = []
     for k in dict.fromkeys(map(int, ks)):

@@ -179,6 +179,8 @@ def init_timeline(
     ``config.align_factors`` is set, each bin is rotated into the frame of
     its predecessor after fitting.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     train = split.train
     N = train.N
     children = np.random.SeedSequence(config.seed).spawn(N)

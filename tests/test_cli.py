@@ -477,6 +477,93 @@ def test_every_subcommand_help_renders(command, capsys):
     assert "usage: socialdmf " + command in capsys.readouterr().out
 
 
+# Required options of each command, with placeholder values that parse.
+REQUIRED = {
+    "ingest": ["--ratings", "r", "--trust", "t", "--cutoffs", "c", "--out", "o"],
+    "synth": ["--m", "1", "--n", "1", "--bins", "1", "--samples-per-bin", "1", "--trust-edges", "1", "--out", "o"],
+    "factorize": ["--data", "d", "--out", "o"],
+    "smooth": ["--data", "d", "--out", "o"],
+    "evaluate": ["--data", "d", "--factors", "f"],
+    "sweep": ["--data", "d", "--out", "o"],
+    "checkgrad": [],
+}
+
+MODEL_OPTIONS = {f.name for f in fields(SmootherConfig)}
+
+# The options each command's handler reads: 76 registrations over the seven commands.
+OPTIONS = {
+    "ingest": {"ratings", "trust", "cutoffs", "min_ratings", "delimiter", "date_format", "out", "config"},
+    "synth": {"m", "n", "k", "bins", "samples_per_bin", "trust_edges", "eta", "noise_std", "out", "seed",
+              "config"},
+    "factorize": {"data", "split_fraction", "iters", "out", "k", "gamma", "align_factors", "seed", "threads",
+                  "config"},
+    "smooth": {"data", "split_fraction", "factors", "out", "trace_out", *MODEL_OPTIONS, "config"},
+    "evaluate": {"data", "split_fraction", "factors", "seed", "config"},
+    "sweep": {"data", "split_fraction", "ks", "lambdas", "out", "sigma", "dt", "gamma", "max_iter", "grad_tol",
+              "align_factors", "seed", "threads", "config"},
+    "checkgrad": {"m", "n", "bins", "p_per_bin", "trust_edges", "step", "tol", "k", "lam", "sigma", "dt", "seed",
+                  "config"},
+}
+
+
+def parsed(command):
+    """The namespace of ``command`` given only its required options, without the dispatch entries."""
+    args = vars(build_parser().parse_args([command, *REQUIRED[command]]))
+    return {dest: value for dest, value in args.items() if dest not in ("func", "command", "commands")}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_command_registers_only_the_options_it_reads(command):
+    assert parsed(command).keys() == OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("checkgrad", "--gamma 1"),
+        ("sweep", "--lambda 0.1"),  # not an abbreviation of --lambdas
+        ("sweep", "--k 7"),
+        ("factorize", "--max-iter 5"),
+        ("ingest", "--seed 1"),
+        ("evaluate", "--threads 2"),
+    ],
+)
+def test_an_option_the_command_does_not_read_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], *flag.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_config_key_for_an_option_checkgrad_lacks_changes_nothing(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("gamma=9\n")
+    assert main(["checkgrad", "--seed", "1"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["checkgrad", "--seed", "1", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_config_key_for_an_option_factorize_lacks_changes_nothing(synth_dataset, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("lambda=5\n")
+    base = ["factorize", "--data", str(synth_dataset), "--k", "2", "--out"]
+    assert main(base + [str(tmp_path / "a")]) == 0
+    plain = capsys.readouterr().out
+    assert main(base + [str(tmp_path / "b"), "--config", str(config)]) == 0
+    assert capsys.readouterr().out == plain.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+    same_files(tmp_path / "a", tmp_path / "b")
+
+
+@pytest.mark.parametrize("argv", [["factorize", "--k", "2"], ["sweep", "--ks", "2", "--lambdas", "0.01"]])
+def test_fewer_than_one_thread_exits_2(argv, synth_dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--data", str(synth_dataset), "--threads", "0", "--out", str(out)])
+    assert rc == 2
+    assert "n_jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_defaults_come_from_smoother_config(capsys):
     with pytest.raises(SystemExit):
         main(["factorize", "--help"])
@@ -484,6 +571,12 @@ def test_cli_defaults_come_from_smoother_config(capsys):
     with pytest.raises(SystemExit):
         main(["checkgrad", "--help"])
     assert "latent rank (default 3)" in capsys.readouterr().out
-    args = build_parser().parse_args(["factorize", "--data", "d", "--out", "o"])
+    # smooth registers every SmootherConfig field; k has no SmootherConfig default.
     defaults = {f.name: f.default for f in fields(SmootherConfig) if f.default is not MISSING}
-    assert {name: getattr(args, name) for name in defaults} == defaults
+    assert {name: parsed("smooth")[name] for name in defaults} == defaults
+    # Every model option of every command defaults to SmootherConfig's value,
+    # but for the rank and checkgrad's small social weight.
+    for command in OPTIONS:
+        expected = {**defaults, "k": 3, "lam": 0.01} if command == "checkgrad" else {**defaults, "k": 5}
+        model = {name: value for name, value in parsed(command).items() if name in MODEL_OPTIONS}
+        assert model == {name: expected[name] for name in model}, command

@@ -205,6 +205,12 @@ def test_init_timeline_threads_match_sequential():
         np.testing.assert_array_equal(seq[t].V, par[t].V)
 
 
+@pytest.mark.parametrize("n_jobs", [0, -4])
+def test_init_timeline_rejects_fewer_than_one_job(n_jobs):
+    with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+        init_timeline(timeline_fixture(seed=3), SmootherConfig(k=2), n_jobs=n_jobs)
+
+
 def test_init_timeline_alignment_tightens_consecutive_frames():
     split = timeline_fixture(seed=4, N=4)
     aligned = init_timeline(split, SmootherConfig(k=3, gamma=0.5, seed=5, align_factors=True))
