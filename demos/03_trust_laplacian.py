@@ -40,9 +40,8 @@ def two_cluster_edges(m):
 
 def neighbor_gap(trust, U):
     """Mean distance ||U_i - U_j|| over the edges of the last bin."""
-    W = trust.graph(trust.N - 1).tocoo()
-    mask = W.row < W.col
-    d = np.linalg.norm(U[W.row[mask]] - U[W.col[mask]], axis=1)
+    rows, cols = trust.edges(trust.N - 1)
+    d = np.linalg.norm(U[rows] - U[cols], axis=1)
     return float(d.mean())
 
 
@@ -53,7 +52,8 @@ def main():
     rng = np.random.default_rng(args.seed)
 
     m = 10
-    (op,) = build_timeline_laplacians(TrustTimeline.from_edges(m, [two_cluster_edges(m)]))
+    rows, cols = two_cluster_edges(m)
+    (op,) = build_timeline_laplacians(TrustTimeline(m, 1, rows, cols, [0] * len(rows)))
     aligned = np.repeat(rng.standard_normal((2, 3)), m // 2, axis=0)
     scrambled = rng.standard_normal((m, 3))
     print("disagreement energy tr(U'LU):")

@@ -92,55 +92,43 @@ class RatingsTimeline:
 class TrustTimeline:
     """Per-bin undirected trust graphs on a fixed set of ``m`` users.
 
-    Each bin holds the cumulative graph of all edges created up to (and
-    within) that bin, so edge sets are monotone non-decreasing in ``t``.
-    Adjacency matrices are symmetric, zero-diagonal, and non-negative.
-    The timeline validates each bin once and owns that bin's
-    :class:`~socialdmf.laplacian.LaplacianOperator`, built on the same CSR
-    matrix. :meth:`from_edges` builds the adjacencies from edge lists.
+    The timeline is one edge list: pair ``(rows[e], cols[e])`` is an
+    undirected edge created in bin ``created[e]``, and bin ``t``'s graph
+    holds every edge created up to (and within) bin ``t``. The list is
+    validated once (endpoints in ``[0, m)``, no self-loop, creation bin in
+    ``[0, N)``); each undirected pair is kept once, smaller index first,
+    with weight one at its earliest creation bin, and stored sorted by
+    (created, row, col). So every graph is symmetric, binary and loop-free,
+    and edge sets are monotone non-decreasing in ``t``. Bin ``t``'s
+    :class:`~socialdmf.laplacian.LaplacianOperator` is built on a prefix
+    view of that list and owned by the timeline.
     """
 
-    def __init__(self, m: int, graphs: Sequence[sp.spmatrix]) -> None:
+    def __init__(self, m: int, N: int, rows, cols, created) -> None:
         if m < 1:
             raise ValueError(f"need at least one user, got m={m}")
-        if not len(graphs):
+        if N < 1:
             raise ValueError("timeline needs at least one bin")
+        rows, cols, created = (np.asarray(a, dtype=np.int64) for a in (rows, cols, created))
+        if not (rows.shape == cols.shape == created.shape) or rows.ndim != 1:
+            raise ValueError("rows/cols/created must be 1-d arrays of equal length")
+        if rows.size:
+            if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= m:
+                raise ValueError(f"edge endpoint out of range [0, {m})")
+            if np.any(rows == cols):
+                raise ValueError("self-loop edge")
+            if created.min() < 0 or created.max() >= N:
+                raise ValueError(f"creation bin out of range [0, {N})")
+        low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+        # In creation order, the first sighting of a pair is its earliest.
+        by_time = np.argsort(created, kind="stable")
+        _, first = np.unique(low[by_time] * m + high[by_time], return_index=True)
+        keep = by_time[first]
+        keep = keep[np.lexsort((high[keep], low[keep], created[keep]))]
         self.m = int(m)
-        self.laplacians: list[LaplacianOperator] = []
-        for t, W in enumerate(graphs):
-            W = sp.csr_matrix(W, dtype=np.float64)
-            if W.shape != (m, m):
-                raise ValueError(f"bin {t}: adjacency must be {m}x{m}, got {W.shape}")
-            if W.nnz and W.data.min() < 0:
-                raise ValueError(f"bin {t}: negative edge weight")
-            if abs(W - W.T).nnz:
-                raise ValueError(f"bin {t}: adjacency not symmetric")
-            if np.any(W.diagonal() != 0):
-                raise ValueError(f"bin {t}: nonzero diagonal (self-loop)")
-            W.eliminate_zeros()
-            self.laplacians.append(LaplacianOperator(W))
-        for t in range(self.N - 1):
-            a = self.graph(t).astype(bool)
-            b = self.graph(t + 1).astype(bool)
-            if (a > b).nnz:
-                raise ValueError(f"bin {t + 1}: edge set lost edges present in bin {t}")
-
-    @classmethod
-    def from_edges(cls, m: int, per_bin_edges: Sequence[tuple]) -> "TrustTimeline":
-        """Build a timeline from one ``(rows, cols)`` pair of index arrays per bin.
-
-        Pair ``(rows[e], cols[e])`` becomes the undirected edge between those
-        users, so bin ``t``'s adjacency is symmetric with weight one on every
-        edge, however often its pair repeats. Validation is the constructor's.
-        """
-        graphs = []
-        for rows, cols in per_bin_edges:
-            i = np.concatenate([rows, cols]).astype(np.int64)
-            j = np.concatenate([cols, rows]).astype(np.int64)
-            W = sp.csr_matrix((np.ones(i.size), (i, j)), shape=(m, m))
-            W.data[:] = 1.0
-            graphs.append(W)
-        return cls(m, graphs)
+        self.rows, self.cols, self.created = low[keep], high[keep], created[keep]
+        ends = np.searchsorted(self.created, np.arange(N), side="right")
+        self.laplacians = [LaplacianOperator(m, self.rows[:e], self.cols[:e]) for e in ends]
 
     @property
     def N(self) -> int:
@@ -154,7 +142,7 @@ class TrustTimeline:
         return self.laplacians[t].edge_count
 
     def edges(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle edge endpoints (i < j) of bin ``t``."""
+        """Endpoints ``rows < cols`` of bin ``t``'s edges, in (created, row, col) order."""
         op = self.laplacians[t]
         return op.rows, op.cols
 

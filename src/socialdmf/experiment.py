@@ -352,9 +352,7 @@ def synth_generate(
     # Random undirected edges with uniformly random creation bins.
     pairs = _random_edges(rng, m, trust_edges)
     creation = rng.integers(0, N, size=len(pairs))
-    trust = TrustTimeline.from_edges(
-        m, [(pairs[creation <= t, 0], pairs[creation <= t, 1]) for t in range(N)]
-    )
+    trust = TrustTimeline(m, N, pairs[:, 0], pairs[:, 1], creation)
 
     if eta > 0:
         lam_max = _laplacian_spectral_bound(trust.graph(N - 1))
@@ -441,7 +439,7 @@ def random_problem(
     factors = FactorTimeline(pairs)
 
     pairs = _random_edges(rng, m, min(trust_edges, m * (m - 1) // 2))
-    trust = TrustTimeline.from_edges(m, [(pairs[:, 0], pairs[:, 1])] * N)
+    trust = TrustTimeline(m, N, pairs[:, 0], pairs[:, 1], np.zeros_like(pairs[:, 0]))
 
     config = SmootherConfig(k=k, sigma=sigma, dt=dt, lam=lam, seed=seed)
     laplacians = build_timeline_laplacians(trust) if lam > 0 else None

@@ -6,12 +6,13 @@ arrays with one record per row and one named field per column. Timestamps
 are integer days since 1970-01-01 throughout. Binning assigns a record with
 timestamp tau to bin ``#{cutoffs <= tau}``, so ``len(cutoffs) + 1`` bins
 cover the whole line.
-Trust graphs are cumulative: an edge enters at its creation bin and persists
-in every later bin.
+Trust graphs are binary and cumulative: an undirected edge enters at the bin
+of its earliest sighting and persists in every later bin.
 
 The canonical on-disk dataset is a directory of sorted text files
 (ratings_bin_<t>.tsv, trust_bin_<t>.tsv, users.map, items.map, meta.txt),
 written deterministically so that two runs over the same inputs diff clean.
+Each trust edge is written once, in the file of its creation bin.
 """
 
 from __future__ import annotations
@@ -107,12 +108,8 @@ def _read_table(path, fmt: TableFormat, default_columns, schema, convert) -> np.
         )
     if malformed:
         logger.warning("%s: skipped %d malformed rows of %d", path, malformed, total)
-    return _table(schema, list(zip(*records)) or [()] * len(schema))
-
-
-def _table(schema, columns) -> np.ndarray:
-    """A record array with one ``(name, dtype)`` field per ``schema`` entry, from ``columns``."""
-    arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(columns, schema)]
+    by_column = list(zip(*records)) or [()] * len(schema)
+    arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(by_column, schema)]
     return np.rec.fromarrays(arrays, names=[name for name, _ in schema])
 
 
@@ -138,9 +135,11 @@ def parse_trust(path, fmt: TableFormat = TableFormat()) -> np.ndarray:
     """Read trust edges (user_a, user_b, date) from a delimited text file.
 
     Returns a structured array with fields ``user_a``, ``user_b`` (str) and
-    ``timestamp`` (int64 days). Edges are undirected: each comes back once,
-    smaller id first, with its earliest date, sorted by (user_a, user_b).
-    Self-loops are dropped. Malformed handling matches :func:`parse_ratings`.
+    ``timestamp`` (int64 days), one record per well-formed row in file
+    order. Self-loops are dropped, counted and logged; repeated and reversed
+    pairs are kept, for :class:`~socialdmf.domain.TrustTimeline` to collapse
+    into one edge at its earliest bin. Malformed handling matches
+    :func:`parse_ratings`.
     """
 
     def convert(a, b, date):
@@ -151,13 +150,7 @@ def parse_trust(path, fmt: TableFormat = TableFormat()) -> np.ndarray:
     if loops.any():
         logger.warning("%s: dropped %d self-loop edges", path, int(loops.sum()))
         table = table[~loops]
-    a, b, timestamps = table["user_a"], table["user_b"], table["timestamp"]
-    low, high = np.where(a < b, a, b), np.where(a < b, b, a)
-    order = np.lexsort((timestamps, high, low))
-    low, high, timestamps = low[order], high[order], timestamps[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
-    return _table(_TRUST_SCHEMA, (low[first], high[first], timestamps[first]))
+    return table
 
 
 def filter_min_ratings(ratings: np.ndarray, threshold: int) -> np.ndarray:
@@ -178,9 +171,9 @@ def bin_timelines(
     ``ratings`` and ``edges`` are tables as returned by :func:`parse_ratings`
     and :func:`parse_trust`. Users and items are mapped to dense indices in
     lexicographic id order. Within a bin, duplicate (user, item) pairs keep
-    the latest rating. Trust graphs are cumulative with binary weights;
-    edges touching users outside the (post-filter) rating universe are
-    dropped.
+    the latest rating. Each trust edge is created in the bin of its
+    earliest date; edges touching users outside the (post-filter) rating
+    universe are dropped.
 
     Returns
     -------
@@ -222,8 +215,7 @@ def bin_timelines(
             "dropped %d trust edges with endpoints outside the user universe", int((~inside).sum())
         )
     created = np.searchsorted(cutoffs, edges["timestamp"][inside], side="right")
-    a, b = a[inside], b[inside]
-    trust = TrustTimeline.from_edges(m, [(a[created <= t], b[created <= t]) for t in range(N)])
+    trust = TrustTimeline(m, N, a[inside], b[inside], created)
     return timeline, trust, user_map, item_map
 
 
@@ -297,8 +289,8 @@ def save_dataset(
     """Write the canonical binned dataset directory.
 
     Layout: ratings_bin_<t>.tsv (user, item, value on dense indices, sorted),
-    trust_bin_<t>.tsv (cumulative edges a < b, sorted), users.map and
-    items.map (id to index), meta.txt (m, n, N, per-bin counts).
+    trust_bin_<t>.tsv (the edges a < b created in bin t, sorted), users.map
+    and items.map (id to index), meta.txt (m, n, N, per-bin counts).
     """
     if ratings.N != trust.N or ratings.m != trust.m:
         raise ValueError("ratings and trust timelines disagree on (m, N)")
@@ -308,17 +300,17 @@ def save_dataset(
         with open(directory / name, "w", encoding="utf-8") as fh:
             for key, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
                 fh.write(f"{key}\t{idx}\n")
+    bounds = np.searchsorted(trust.created, np.arange(ratings.N + 1))
     for t in range(ratings.N):
         users, items, values = ratings.bin(t)
         order = np.lexsort((items, users))
+        columns = (users[order].tolist(), items[order].tolist(), values[order].tolist())
         with open(directory / f"ratings_bin_{t}.tsv", "w") as fh:
-            for idx in order:
-                fh.write(f"{users[idx]}\t{items[idx]}\t{values[idx]:.17g}\n")
-        rows, cols = trust.edges(t)
-        edge_order = np.lexsort((cols, rows))
+            fh.write("".join(f"{u}\t{i}\t{v:.17g}\n" for u, i, v in zip(*columns)))
+        new = slice(bounds[t], bounds[t + 1])
+        pairs = zip(trust.rows[new].tolist(), trust.cols[new].tolist())
         with open(directory / f"trust_bin_{t}.tsv", "w") as fh:
-            for idx in edge_order:
-                fh.write(f"{rows[idx]}\t{cols[idx]}\n")
+            fh.write("".join(f"{a}\t{b}\n" for a, b in pairs))
     with open(directory / "meta.txt", "w") as fh:
         fh.write(f"m={ratings.m}\n")
         fh.write(f"n={ratings.n}\n")
@@ -327,7 +319,12 @@ def save_dataset(
 
 
 def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, int], dict[str, int]]:
-    """Read a dataset directory written by :func:`save_dataset`."""
+    """Read a dataset directory written by :func:`save_dataset`.
+
+    Each pair in trust_bin_<t>.tsv is an edge created in bin t at the
+    latest, so bin t's graph is the union of files 0..t; a directory whose
+    trust files are cumulative loads to the same graphs.
+    """
     directory = Path(directory)
     meta_path = directory / "meta.txt"
     if not meta_path.exists():
@@ -339,9 +336,11 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
             meta[key.strip()] = value.strip()
     try:
         m, n, N = int(meta["m"]), int(meta["n"]), int(meta["N"])
-        counts = [int(c) for c in meta["p"].split(",")] if meta.get("p") else []
+        counts = [int(c) for c in meta["p"].split(",")]
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{meta_path}: bad metadata ({exc})")
+    if len(counts) != N:
+        raise DataFormatError(f"{meta_path}: p= lists {len(counts)} counts for N={N} bins")
 
     def read_map(name):
         mapping: dict[str, int] = {}
@@ -363,13 +362,15 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
         return np.loadtxt(path, delimiter="\t", dtype=dtype, ndmin=2)
 
     bins = []
-    edges = []
+    pairs = []
     for t in range(N):
         path = directory / f"ratings_bin_{t}.tsv"
         data = read_rows(path, 3, np.float64)
-        if counts and data.shape[0] != counts[t]:
+        if data.shape[0] != counts[t]:
             raise DataFormatError(f"{path}: has {data.shape[0]} rows, meta.txt says {counts[t]}")
         bins.append((data[:, 0].astype(np.int64), data[:, 1].astype(np.int64), data[:, 2]))
-        pairs = read_rows(directory / f"trust_bin_{t}.tsv", 2, np.int64)
-        edges.append((pairs[:, 0], pairs[:, 1]))
-    return RatingsTimeline(m, n, bins), TrustTimeline.from_edges(m, edges), user_map, item_map
+        pairs.append(read_rows(directory / f"trust_bin_{t}.tsv", 2, np.int64))
+    created = np.repeat(np.arange(N), [len(p) for p in pairs])
+    edges = np.concatenate(pairs)
+    trust = TrustTimeline(m, N, edges[:, 0], edges[:, 1], created)
+    return RatingsTimeline(m, n, bins), trust, user_map, item_map

@@ -1,6 +1,6 @@
 """Matrix-free unnormalized graph Laplacian operators.
 
-For an undirected weighted adjacency W with degree vector d, the Laplacian
+For an undirected binary adjacency W with degree vector d, the Laplacian
 is L = diag(d) - W. It is applied to m-by-k factor matrices column-wise and
 never formed densely; the quadratic form is accumulated over edges, which
 keeps it exactly non-negative.
@@ -18,22 +18,23 @@ if TYPE_CHECKING:
 
 
 class LaplacianOperator:
-    """One bin's Laplacian, stored as adjacency plus degree vector.
+    """One bin's Laplacian over ``m`` users, from its undirected edge list.
 
-    Built by :class:`~socialdmf.domain.TrustTimeline` from an adjacency it
-    has already validated (symmetric, non-negative, zero diagonal); the CSR
-    matrix is shared with the timeline, not copied. ``rows``/``cols``/
-    ``weights`` hold the upper-triangle edge list (i < j) used by the
-    quadratic form.
+    Built by :class:`~socialdmf.domain.TrustTimeline` from edges it has
+    already validated and deduplicated: ``rows[e] < cols[e]`` names edge e
+    once, with weight one. ``rows``/``cols`` are views of the timeline's
+    edge list, used by the quadratic form; the symmetric CSR ``adjacency``
+    and the ``degrees`` are derived from them.
     """
 
-    def __init__(self, adjacency: sp.csr_matrix) -> None:
-        self.adjacency = adjacency
-        self.degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-        upper = sp.triu(adjacency, k=1).tocoo()
-        self.rows = upper.row.astype(np.int64)
-        self.cols = upper.col.astype(np.int64)
-        self.weights = upper.data
+    def __init__(self, m: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        self.rows = rows
+        self.cols = cols
+        ends = np.concatenate([rows, cols])
+        self.adjacency = sp.csr_matrix(
+            (np.ones(ends.size), (ends, np.concatenate([cols, rows]))), shape=(m, m)
+        )
+        self.degrees = np.bincount(ends, minlength=m).astype(np.float64)
 
     @property
     def m(self) -> int:
@@ -53,18 +54,16 @@ def apply_laplacian(op: LaplacianOperator, U: np.ndarray) -> np.ndarray:
 
 
 def laplacian_quadratic(op: LaplacianOperator, U: np.ndarray) -> float:
-    """The disagreement energy tr(U' L U) = sum_ij w_ij ||U_i - U_j||^2.
+    """The disagreement energy tr(U' L U) = sum over edges ij of ||U_i - U_j||^2.
 
-    Accumulated edge by edge over the upper triangle, so the result is
+    Accumulated edge by edge, each undirected edge once, so the result is
     non-negative by construction.
     """
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2 or U.shape[0] != op.m:
         raise ValueError(f"expected a matrix with {op.m} rows, got shape {U.shape}")
-    if not op.rows.size:
-        return 0.0
     diff = U[op.rows] - U[op.cols]
-    return float(op.weights @ np.einsum("ek,ek->e", diff, diff))
+    return float(np.vdot(diff, diff))
 
 
 def build_timeline_laplacians(trust: TrustTimeline) -> list[LaplacianOperator]:

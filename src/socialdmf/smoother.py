@@ -34,7 +34,7 @@ from .domain import (
     SmootherState,
     process_noise_block,
 )
-from .factorize import gram_blocks
+from .factorize import _compress, gram_blocks
 from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
 
 
@@ -291,9 +291,8 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     for t in range(N):
         a = q_inv + F.T @ q_inv @ F if t < N - 1 else q_inv
         S = np.repeat(np.kron(a, eye)[None], m, axis=0)
-        users, items, _ = problem.train.bin(t)
-        counts = sp.csr_matrix((np.ones(users.size), (users, items)), shape=(m, problem.n))
-        S[:, k:, k:] += gram_blocks(counts, problem.factors[t].V) / cfg.sigma**2
+        rated, observed, counts, _ = _compress(*problem.train.bin(t))
+        S[rated, k:, k:] += gram_blocks(counts, problem.factors[t].V[observed]) / cfg.sigma**2
         if use_social:
             S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[:, None, None] * eye
         if t > 0:

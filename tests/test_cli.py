@@ -360,6 +360,30 @@ def test_evaluate_missing_dataset_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("counts", ["40,40", "40,40,40,40"])
+def test_evaluate_on_a_wrong_length_count_list_exits_2(synth_dataset, tmp_path, capsys, counts):
+    meta = synth_dataset / "meta.txt"
+    meta.write_text(meta.read_text().replace("p=40,40,40\n", f"p={counts}\n"))
+    rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(tmp_path / "f")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "meta.txt" in err and "Traceback" not in err
+
+
+def test_ingest_writes_a_repeated_edge_once(tmp_path, capsys):
+    ratings, trust = write_raw_corpus(tmp_path)
+    trust.write_text(trust.read_text() + "bob\tann\t2002-01-20\nann\tbob\t2003-05-01\n")
+    out = tmp_path / "dataset"
+    rc = main([
+        "ingest", "--ratings", str(ratings), "--trust", str(trust),
+        "--cutoffs", "2003-01-01", "--min-ratings", "0", "--out", str(out),
+    ])
+    assert rc == 0
+    assert kv(out_lines(capsys))["edges"] == "2"
+    assert (out / "trust_bin_0.tsv").read_text() == "0\t1\n"
+    assert (out / "trust_bin_1.tsv").read_text() == "1\t2\n"
+
+
 # ---------------------------------------------------------------------------
 # Config file precedence
 

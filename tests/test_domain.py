@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from socialdmf import (
     FactorPair,
@@ -128,61 +127,66 @@ def test_ratings_timeline_rejects_bad_bins(bad_bin):
         RatingsTimeline(3, 4, [bad_bin])
 
 
-def _adjacency(m, edges):
-    W = np.zeros((m, m))
-    for i, j in edges:
-        W[i, j] = W[j, i] = 1.0
-    return sp.csr_matrix(W)
-
-
 def test_trust_timeline_cumulative_ok():
-    tl = TrustTimeline(4, [_adjacency(4, [(0, 1)]), _adjacency(4, [(0, 1), (2, 3)])])
+    tl = TrustTimeline(4, 2, [0, 2], [1, 3], [0, 1])
     assert tl.edge_count(0) == 1
     assert tl.edge_count(1) == 2
     np.testing.assert_array_equal(tl.laplacians[1].degrees, [1, 1, 1, 1])
     assert tl.laplacians[1].adjacency is tl.graph(1)
     rows, cols = tl.edges(1)
     assert set(zip(rows, cols)) == {(0, 1), (2, 3)}
+    # Every bin's edges are a prefix view of the one edge list.
+    for t in range(tl.N):
+        assert np.shares_memory(tl.edges(t)[0], tl.rows)
 
 
-def test_trust_timeline_rejects_lost_edges():
-    with pytest.raises(ValueError, match="lost edges"):
-        TrustTimeline(4, [_adjacency(4, [(0, 1), (2, 3)]), _adjacency(4, [(0, 1)])])
-
-
-def test_trust_timeline_rejects_asymmetry_and_loops():
-    W = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="symmetric"):
-        TrustTimeline(2, [W])
-    loop = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="diagonal"):
-        TrustTimeline(2, [loop])
-
-
-def test_from_edges_builds_symmetric_binary_graphs():
-    # A repeated pair and its reverse both collapse to one weight-one edge.
-    tl = TrustTimeline.from_edges(4, [([0, 0, 1], [1, 1, 0]), ([0, 3], [1, 2])])
+def test_trust_timeline_collapses_repeated_and_reversed_pairs():
+    # (0, 1) comes three times, once reversed, first in bin 2; (1, 3) once
+    # in each direction, earliest in bin 1.
+    tl = TrustTimeline(4, 4, [1, 0, 0, 3, 1], [0, 1, 1, 1, 3], [2, 3, 2, 1, 3])
+    np.testing.assert_array_equal(tl.rows, [1, 0])
+    np.testing.assert_array_equal(tl.cols, [3, 1])
+    np.testing.assert_array_equal(tl.created, [1, 2])
+    assert [tl.edge_count(t) for t in range(tl.N)] == [0, 1, 2, 2]
     for t in range(tl.N):
         W = tl.graph(t)
         assert (W != W.T).nnz == 0
         np.testing.assert_array_equal(W.data, 1.0)
-    assert tl.edge_count(0) == 1 and tl.edge_count(1) == 2
-    rows, cols = tl.edges(1)
-    assert set(zip(rows, cols)) == {(0, 1), (2, 3)}
+        assert not W.diagonal().any()
+    np.testing.assert_array_equal(tl.laplacians[3].degrees, [1, 2, 0, 1])
 
 
-def test_from_edges_handles_an_edgeless_bin():
-    none = (np.empty(0, np.int64), np.empty(0, np.int64))
-    tl = TrustTimeline.from_edges(3, [none, ([2], [0])])
+def test_trust_timeline_handles_bins_without_new_edges():
+    tl = TrustTimeline(3, 4, [2], [0], [1])
     assert tl.edge_count(0) == 0 and tl.graph(0).nnz == 0
-    assert tl.edge_count(1) == 1
+    assert [tl.edge_count(t) for t in range(tl.N)] == [0, 1, 1, 1]
+    for t in (2, 3):
+        assert (tl.graph(t) != tl.graph(1)).nnz == 0
+    empty = TrustTimeline(3, 2, [], [], [])
+    assert [empty.edge_count(t) for t in range(empty.N)] == [0, 0]
+    np.testing.assert_array_equal(empty.laplacians[1].degrees, [0, 0, 0])
 
 
-def test_from_edges_keeps_the_constructor_checks():
-    with pytest.raises(ValueError, match="diagonal"):
-        TrustTimeline.from_edges(3, [([0, 1], [1, 1])])
-    with pytest.raises(ValueError, match="lost edges"):
-        TrustTimeline.from_edges(3, [([0, 1], [1, 2]), ([0], [1])])
+def test_trust_timeline_rejects_bad_edge_lists():
+    bad = [
+        ([0, 1], [1, 1], [0, 0], "self-loop"),
+        ([0], [3], [0], "out of range"),
+        ([-1], [2], [0], "out of range"),
+        ([0], [1], [2], "creation bin"),
+        ([0], [1], [-1], "creation bin"),
+        ([0, 1], [1], [0, 0], "equal length"),
+        ([[0, 1]], [[1, 2]], [[0, 0]], "1-d"),
+    ]
+    for rows, cols, created, match in bad:
+        with pytest.raises(ValueError, match=match):
+            TrustTimeline(3, 2, rows, cols, created)
+
+
+def test_trust_timeline_rejects_empty_shapes():
+    with pytest.raises(ValueError, match="user"):
+        TrustTimeline(0, 1, [], [], [])
+    with pytest.raises(ValueError, match="bin"):
+        TrustTimeline(2, 0, [], [], [])
 
 
 def test_factor_pair_validation():

@@ -122,17 +122,28 @@ def test_parse_ratings_rejects_non_finite_values(tmp_path):
     assert len(out) == 1 and out["user_id"][0] == "u2"
 
 
-def test_parse_trust_deduplicates_undirected_keeping_earliest(tmp_path):
+def test_repeated_and_reversed_trust_rows_become_one_edge_at_the_earliest_bin(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text(
-        "u2\tu1\t2003-02-01\n"
-        "u1\tu2\t2003-01-01\n"
-        "u1\tu3\t2003-03-01\n"
+        "bob\talice\t15\n"
+        "alice\tbob\t5\n"
+        "alice\tbob\t25\n"
+        "carol\tbob\t12\n"
+        "bob\tcarol\t22\n"
     )
-    out = parse_trust(path)
-    assert out.dtype.names == ("user_a", "user_b", "timestamp")
-    by_key = {(a, b): timestamp for a, b, timestamp in out.tolist()}
-    assert by_key == {("u1", "u2"): days("2003-01-01"), ("u1", "u3"): days("2003-03-01")}
+    edges = parse_trust(path, TableFormat(date_format="days"))
+    # parse_trust keeps every row, in file order.
+    assert edges.dtype.names == ("user_a", "user_b", "timestamp")
+    assert [tuple(row) for row in edges.tolist()] == [
+        ("bob", "alice", 15), ("alice", "bob", 5), ("alice", "bob", 25),
+        ("carol", "bob", 12), ("bob", "carol", 22),
+    ]
+    _, trust, user_map, _ = bin_timelines(ratings_fixture(), edges, [10, 20])
+    a, b, c = user_map["alice"], user_map["bob"], user_map["carol"]
+    np.testing.assert_array_equal(trust.rows, [a, b])
+    np.testing.assert_array_equal(trust.cols, [b, c])
+    np.testing.assert_array_equal(trust.created, [0, 1])
+    assert [trust.edge_count(t) for t in range(trust.N)] == [1, 2, 2]
 
 
 def test_parse_trust_drops_self_loops(tmp_path, caplog):
@@ -463,13 +474,58 @@ def test_load_dataset_requires_meta(tmp_path):
         load_dataset(tmp_path)
 
 
-def test_load_dataset_rejects_a_later_bin_that_lost_an_edge(tmp_path):
-    ratings, trust, user_map, item_map = bin_timelines(
+def _saved_fixture(directory):
+    built = bin_timelines(
         ratings_fixture(),
-        trust_table([("alice", "bob", 2), ("bob", "carol", 12)]),
+        trust_table([("alice", "bob", 2), ("bob", "carol", 12), ("alice", "carol", 13)]),
         [10, 20],
     )
-    save_dataset(tmp_path / "d", ratings, trust, user_map, item_map)
-    (tmp_path / "d" / "trust_bin_1.tsv").write_text("1\t2\n")  # bin 0 has 0-1
-    with pytest.raises(ValueError, match="lost edges"):
+    save_dataset(directory, *built)
+    return built
+
+
+def test_save_dataset_writes_each_edge_in_exactly_one_file(tmp_path):
+    _, trust, _, _ = _saved_fixture(tmp_path / "d")
+    files = [(tmp_path / "d" / f"trust_bin_{t}.tsv").read_text() for t in range(trust.N)]
+    assert files == ["0\t1\n", "0\t2\n1\t2\n", ""]
+    lines = [line for text in files for line in text.splitlines()]
+    assert len(lines) == len(set(lines)) == trust.edge_count(trust.N - 1)
+
+
+def test_load_dataset_takes_each_bin_as_the_union_of_files(tmp_path):
+    # An edge listed again in a later file, even reversed, keeps its first bin;
+    # a later file that omits an earlier edge does not remove it.
+    _, trust, _, _ = _saved_fixture(tmp_path / "d")
+    (tmp_path / "d" / "trust_bin_2.tsv").write_text("2\t0\n")
+    _, loaded, _, _ = load_dataset(tmp_path / "d")
+    for t in range(trust.N):
+        assert (loaded.graph(t) != trust.graph(t)).nnz == 0
+    np.testing.assert_array_equal(loaded.created, trust.created)
+
+
+def test_load_dataset_reads_cumulative_trust_files(tmp_path):
+    """Directories whose trust_bin_<t>.tsv lists every edge up to bin t load
+    to the same graphs as the one-file-per-edge layout."""
+    _, trust, _, _ = _saved_fixture(tmp_path / "d")
+    for t in range(trust.N):
+        rows, cols = trust.edges(t)
+        order = np.lexsort((cols, rows))
+        lines = "".join(f"{rows[e]}\t{cols[e]}\n" for e in order)
+        (tmp_path / "d" / f"trust_bin_{t}.tsv").write_text(lines)
+    assert (tmp_path / "d" / "trust_bin_2.tsv").read_text() == "0\t1\n0\t2\n1\t2\n"
+    _, loaded, _, _ = load_dataset(tmp_path / "d")
+    assert loaded.N == trust.N
+    for t in range(trust.N):
+        assert (loaded.graph(t) != trust.graph(t)).nnz == 0
+        np.testing.assert_array_equal(loaded.laplacians[t].degrees, trust.laplacians[t].degrees)
+
+
+@pytest.mark.parametrize("counts", ["2,2", "2,2,2,2", ""])
+def test_load_dataset_requires_one_count_per_bin(tmp_path, counts):
+    _saved_fixture(tmp_path / "d")
+    meta = tmp_path / "d" / "meta.txt"
+    text = meta.read_text()
+    assert "p=2,2,2\n" in text
+    meta.write_text(text.replace("p=2,2,2", f"p={counts}"))
+    with pytest.raises(DataFormatError, match="meta.txt"):
         load_dataset(tmp_path / "d")

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from socialdmf import (
     FactorPair,
@@ -47,9 +46,10 @@ def _edge_case_problem(case, seed, lam, sigma, dt):
     elif case == "unrated user":
         bins = [tuple(a[users != 0] for a in (users, items, values)) for users, items, values in bins]
     elif case == "edgeless bin":
-        later = [op.adjacency for op in laplacians[1:]]
+        # The same edges, created in bin 1 instead of bin 0.
+        last = laplacians[-1]
         laplacians = build_timeline_laplacians(
-            TrustTimeline(problem.m, [sp.csr_matrix((problem.m, problem.m))] + later)
+            TrustTimeline(problem.m, problem.N, last.rows, last.cols, np.ones_like(last.rows))
         )
     train = RatingsTimeline(problem.m, problem.n, bins)
     return SmootherProblem(train, problem.factors, laplacians, problem.config)
@@ -236,13 +236,9 @@ def test_social_term_scales_exactly_with_lambda():
 def _trust_from_problem(problem):
     """Rebuild a trust timeline matching the problem's user count."""
     rng = np.random.default_rng(77)
-    m = problem.m
-    W = np.zeros((m, m))
-    for _ in range(6):
-        a, b = rng.integers(0, m, 2)
-        if a != b:
-            W[a, b] = W[b, a] = 1.0
-    return TrustTimeline(m, [sp.csr_matrix(W)] * problem.N)
+    a, b = rng.integers(0, problem.m, (2, 6))
+    keep = a != b
+    return TrustTimeline(problem.m, problem.N, a[keep], b[keep], np.zeros(keep.sum(), np.int64))
 
 
 def test_empty_train_bin_contributes_nothing_to_measurement():
