@@ -182,6 +182,26 @@ def test_trust_timeline_rejects_bad_edge_lists():
             TrustTimeline(3, 2, rows, cols, created)
 
 
+def test_trust_timeline_rejects_asymmetry_and_loops():
+    # An edge list names each pair once, so a one-way row still gives a
+    # symmetric graph; a self-loop is rejected outright.
+    tl = TrustTimeline(2, 1, [0], [1], [0])
+    W = tl.graph(0)
+    assert (W != W.T).nnz == 0
+    assert not W.diagonal().any()
+    with pytest.raises(ValueError, match="self-loop"):
+        TrustTimeline(2, 1, [1], [1], [0])
+
+
+def test_from_edges_keeps_the_constructor_checks():
+    # Building from edges rejects self-loops, and a later bin keeps every
+    # edge of the earlier bins instead of losing it.
+    with pytest.raises(ValueError, match="self-loop"):
+        TrustTimeline(3, 1, [0, 1], [1, 1], [0, 0])
+    tl = TrustTimeline(3, 2, [0, 1], [1, 2], [0, 0])
+    assert set(zip(*tl.edges(1))) == set(zip(*tl.edges(0))) == {(0, 1), (1, 2)}
+
+
 def test_trust_timeline_rejects_empty_shapes():
     with pytest.raises(ValueError, match="user"):
         TrustTimeline(0, 1, [], [], [])
