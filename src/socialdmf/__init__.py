@@ -40,7 +40,6 @@ from .factorize import (
 from .ingest import (
     DataFormatError,
     SplitTimeline,
-    TableFormat,
     bin_timelines,
     filter_min_ratings,
     load_dataset,
@@ -89,7 +88,6 @@ __all__ = [
     "SWEEP_KS",
     "SWEEP_LAMBDAS",
     "SynthTruth",
-    "TableFormat",
     "TrustTimeline",
     "align_factor_pair",
     "apply_laplacian",

@@ -37,7 +37,6 @@ from .experiment import (
 from .factorize import init_timeline, load_factors, save_factors
 from .ingest import (
     DataFormatError,
-    TableFormat,
     bin_timelines,
     filter_min_ratings,
     load_dataset,
@@ -60,6 +59,8 @@ def _set_config_defaults(args: argparse.Namespace) -> None:
     Keys are option dest names (``lambda`` for ``lam``); keys that name no
     option of the command are ignored. Parsing again then converts each
     value with its option's ``type``, and explicit flags still win.
+    ``align_factors`` (``--no-align`` has no type) takes 1/true/yes/on or
+    0/false/no/off in any case; another value raises DataFormatError.
     """
     values: dict[str, str | bool] = {}
     with open(args.config, encoding="utf-8") as fh:
@@ -70,9 +71,15 @@ def _set_config_defaults(args: argparse.Namespace) -> None:
             if "=" not in line:
                 raise DataFormatError(f"{args.config}:{line_no}: expected key=value, got {line!r}")
             key, _, value = (part.strip() for part in line.partition("="))
+            if key == "align_factors":
+                word = value.lower()
+                if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+                    raise DataFormatError(
+                        f"{args.config}:{line_no}: align_factors must be 1/true/yes/on or "
+                        f"0/false/no/off, got {value!r}"
+                    )
+                value = word in ("1", "true", "yes", "on")
             values["lam" if key == "lambda" else key] = value
-    if "align_factors" in values:  # --no-align has no type to convert with
-        values["align_factors"] = values["align_factors"].lower() in ("1", "true", "yes", "on")
     options = vars(args).keys() - {"func", "command", "commands", "config"}
     args.commands[args.command].set_defaults(**{key: values[key] for key in values.keys() & options})
 
@@ -147,9 +154,8 @@ def _print_dataset(ratings, trust, out) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    fmt = TableFormat(delimiter=args.delimiter, date_format=args.date_format)
-    ratings = parse_ratings(args.ratings, fmt)
-    edges = parse_trust(args.trust, fmt)
+    ratings = parse_ratings(args.ratings, delimiter=args.delimiter, date_format=args.date_format)
+    edges = parse_trust(args.trust, delimiter=args.delimiter, date_format=args.date_format)
     kept = filter_min_ratings(ratings, args.min_ratings)
     cutoffs = _parse_cutoffs(args.cutoffs, args.date_format)
     timeline, trust, user_map, item_map = bin_timelines(kept, edges, cutoffs)

@@ -250,7 +250,6 @@ class ProcessNoiseBlock:
     per-bin block order of the flat state.
     """
 
-    dt: float
     q: np.ndarray
     q_inv: np.ndarray
 
@@ -271,7 +270,7 @@ def process_noise_block(dt: float) -> ProcessNoiseBlock:
         raise ValueError(f"dt must be positive, got {dt}")
     q = np.array([[dt, dt**2 / 2.0], [dt**2 / 2.0, dt**3 / 3.0]])
     q_inv = (12.0 / dt**4) * np.array([[dt**3 / 3.0, -(dt**2) / 2.0], [-(dt**2) / 2.0, dt]])
-    return ProcessNoiseBlock(dt=float(dt), q=q, q_inv=q_inv)
+    return ProcessNoiseBlock(q=q, q_inv=q_inv)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .domain import (
 )
 from .factorize import init_timeline
 from .ingest import SplitTimeline, split_train_test
-from .laplacian import apply_laplacian, build_timeline_laplacians
+from .laplacian import LaplacianOperator, apply_laplacian, build_timeline_laplacians
 from .optim import finite_diff_check, lbfgs_minimize
 from .smoother import SmootherProblem, block_preconditioner, objective_and_gradient
 
@@ -47,7 +47,7 @@ SWEEP_LAMBDAS = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 @dataclass
 class ExperimentResult:
-    """One model run: scores, timing, and the configuration that produced it.
+    """One model run: its scores, wall time, seed and solver outcome.
 
     ``rel_grad`` is the smoother's final ``||grad|| / max(1, ||x||)``, the
     quantity compared with ``grad_tol``; NaN for static and failed runs.
@@ -59,7 +59,6 @@ class ExperimentResult:
     rmse_per_bin: list[float]
     rmse_weighted: float
     wall_seconds: float
-    config: dict
     seed: int
     status: str = "ok"
     iterations: int = 0
@@ -107,8 +106,7 @@ def _failed_run(
     """The row a sweep records for a cell whose run raised ``exc``."""
     return ExperimentResult(
         model=_model_name(lam), k=config.k, lam=lam, rmse_per_bin=[float("nan")] * N,
-        rmse_weighted=float("nan"), wall_seconds=0.0,
-        config=dataclasses.asdict(config), seed=config.seed,
+        rmse_weighted=float("nan"), wall_seconds=0.0, seed=config.seed,
         status=f"error: {exc}",
     )
 
@@ -130,7 +128,6 @@ def run_static(
         rmse_per_bin=per_bin,
         rmse_weighted=weighted,
         wall_seconds=time.perf_counter() - start,
-        config=dataclasses.asdict(config),
         seed=config.seed,
         factors=factors,
     )
@@ -188,7 +185,6 @@ def run_dynamic(
         rmse_per_bin=per_bin,
         rmse_weighted=weighted,
         wall_seconds=time.perf_counter() - start,
-        config=dataclasses.asdict(effective),
         seed=config.seed,
         status=status,
         iterations=result.iterations,
@@ -282,14 +278,12 @@ class SynthTruth:
         )
 
 
-def _laplacian_spectral_bound(W: sp.csr_matrix) -> float:
+def _laplacian_spectral_bound(op: LaplacianOperator) -> float:
     """Largest eigenvalue of L = D - W (dense for small m, Lanczos above)."""
-    m = W.shape[0]
-    if W.nnz == 0:
+    if op.edge_count == 0:
         return 0.0
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    L = sp.diags(degrees) - W
-    if m <= 400:
+    L = sp.diags(op.degrees) - op.adjacency
+    if op.m <= 400:
         return float(np.linalg.eigvalsh(L.toarray()).max())
     val = scipy.sparse.linalg.eigsh(L, k=1, which="LA", return_eigenvectors=False)
     return float(val[0])
@@ -315,18 +309,16 @@ def synth_generate(
     eta: float,
     noise_std: float,
     seed: int,
-    dt: float = 1.0,
-    velocity_std: float = 0.1,
     process_std: float = 0.02,
     fraction: float = 0.5,
 ) -> tuple[SplitTimeline, TrustTimeline, SynthTruth]:
     """Generate a rating timeline whose users genuinely drift and consense.
 
     Item factors V are drawn once (Gaussian, std 1/sqrt(k)) and shared by
-    every bin. User positions start Gaussian with small Gaussian velocities
-    and evolve by
+    every bin. User positions start Gaussian (std 1) with Gaussian velocities
+    (std 0.1) and evolve over unit bin spacing by
 
-        U_{t+1} = (I - eta L_t)(U_t + dt * Udot_t) + noise
+        U_{t+1} = (I - eta L_t)(U_t + Udot_t) + noise
         Udot_{t+1} = Udot_t + noise
 
     where L_t is the cumulative trust Laplacian of bin t, so trusted users
@@ -355,7 +347,7 @@ def synth_generate(
     trust = TrustTimeline(m, N, pairs[:, 0], pairs[:, 1], creation)
 
     if eta > 0:
-        lam_max = _laplacian_spectral_bound(trust.graph(N - 1))
+        lam_max = _laplacian_spectral_bound(trust.laplacians[N - 1])
         if eta * lam_max > 2.0 + 1e-12:
             raise ValueError(
                 f"eta={eta} is too large: eta * lambda_max = {eta * lam_max:.3f} > 2, "
@@ -364,7 +356,7 @@ def synth_generate(
 
     V = rng.normal(0.0, 1.0 / np.sqrt(k), size=(n, k))
     U = rng.normal(0.0, 1.0, size=(m, k))
-    Udot = rng.normal(0.0, velocity_std, size=(m, k))
+    Udot = rng.normal(0.0, 0.1, size=(m, k))
 
     laplacians = build_timeline_laplacians(trust)
     positions = []
@@ -382,7 +374,7 @@ def synth_generate(
         order = np.lexsort((items, users))
         bins.append((users[order], items[order], values[order]))
         if t < N - 1:
-            pulled = U + dt * Udot
+            pulled = U + Udot
             if eta > 0:
                 pulled = pulled - eta * apply_laplacian(laplacians[t], pulled)
             U = pulled

@@ -1,11 +1,11 @@
 """Parsing, filtering, time-binning, and splitting of rating and trust data.
 
-Raw dumps are delimiter-separated text files described by a small
-:class:`TableFormat`. The parsers return columnar tables: numpy structured
-arrays with one record per row and one named field per column. Timestamps
-are integer days since 1970-01-01 throughout. Binning assigns a record with
-timestamp tau to bin ``#{cutoffs <= tau}``, so ``len(cutoffs) + 1`` bins
-cover the whole line.
+Raw dumps are delimiter-separated text files with their fields in one fixed
+order: user, item, value, date for ratings and user_a, user_b, date for
+trust. The parsers return columnar tables: numpy structured arrays with one
+record per row and one named field per column. Timestamps are integer days
+since 1970-01-01 throughout. Binning assigns a record with timestamp tau to
+bin ``#{cutoffs <= tau}``, so ``len(cutoffs) + 1`` bins cover the whole line.
 Trust graphs are binary and cumulative: an undirected edge enters at the bin
 of its earliest sighting and persists in every later bin.
 
@@ -22,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,6 @@ logger = logging.getLogger(__name__)
 
 _EPOCH = datetime.date(1970, 1, 1)
 
-_RATING_COLUMNS = ("user", "item", "value", "date")
-_TRUST_COLUMNS = ("user_a", "user_b", "date")
 _RATING_SCHEMA = (
     ("user_id", str), ("item_id", str), ("value", np.float64), ("timestamp", np.int64)
 )
@@ -42,20 +40,6 @@ _TRUST_SCHEMA = (("user_a", str), ("user_b", str), ("timestamp", np.int64))
 
 class DataFormatError(ValueError):
     """Raised when an input file cannot be used as data."""
-
-
-@dataclass(frozen=True)
-class TableFormat:
-    """Shape of a delimiter-separated input file.
-
-    ``columns`` names each field position; ``None`` selects the default
-    order for the parser at hand. ``date_format`` is "iso" for ISO dates,
-    "days" for integer days since the epoch, or any strptime pattern.
-    """
-
-    delimiter: str = "\t"
-    columns: Optional[tuple[str, ...]] = None
-    date_format: str = "iso"
 
 
 def _parse_date(token: str, date_format: str) -> int:
@@ -71,18 +55,13 @@ def _parse_date(token: str, date_format: str) -> int:
     return (day - _EPOCH).days
 
 
-def _read_table(path, fmt: TableFormat, default_columns, schema, convert) -> np.ndarray:
+def _read_table(path, delimiter: str, schema, convert) -> np.ndarray:
     """Read a delimited file into a table with one record per well-formed row.
 
-    ``convert`` maps a row's fields, in ``default_columns`` order, to one
-    record; a row with the wrong field count, or on which ``convert``
-    raises ValueError or OverflowError, is malformed.
+    ``convert`` maps a row's fields, one per ``schema`` entry and in its
+    order, to one record; a row with the wrong field count, or on which
+    ``convert`` raises ValueError or OverflowError, is malformed.
     """
-    columns = fmt.columns if fmt.columns is not None else default_columns
-    missing = set(default_columns) - set(columns)
-    if missing:
-        raise DataFormatError(f"format columns {columns} lack required fields {sorted(missing)}")
-    index = [columns.index(name) for name in default_columns]
     records = []
     malformed = 0
     first_bad: list[int] = []
@@ -93,11 +72,11 @@ def _read_table(path, fmt: TableFormat, default_columns, schema, convert) -> np.
             if not line.strip():
                 continue
             total += 1
-            fields = line.split(fmt.delimiter)
+            fields = line.split(delimiter)
             try:
-                if len(fields) != len(columns):
+                if len(fields) != len(schema):
                     raise ValueError("wrong field count")
-                records.append(convert(*(fields[i] for i in index)))
+                records.append(convert(*fields))
             except (ValueError, OverflowError):
                 malformed += 1
                 if len(first_bad) < 5:
@@ -113,39 +92,41 @@ def _read_table(path, fmt: TableFormat, default_columns, schema, convert) -> np.
     return np.rec.fromarrays(arrays, names=[name for name, _ in schema])
 
 
-def parse_ratings(path, fmt: TableFormat = TableFormat()) -> np.ndarray:
+def parse_ratings(path, delimiter: str = "\t", date_format: str = "iso") -> np.ndarray:
     """Read ratings (user, item, value, date) from a delimited text file.
 
-    Returns a structured array with fields ``user_id``, ``item_id`` (str),
-    ``value`` (float64) and ``timestamp`` (int64 days), one record per
-    well-formed row in file order. Malformed rows are counted and logged;
-    more than half malformed raises :class:`DataFormatError`.
+    ``date_format`` is "iso" for ISO dates, "days" for integer days since
+    the epoch, or any strptime pattern. Returns a structured array with
+    fields ``user_id``, ``item_id`` (str), ``value`` (float64) and
+    ``timestamp`` (int64 days), one record per well-formed row in file
+    order. Malformed rows are counted and logged; more than half malformed
+    raises :class:`DataFormatError`.
     """
 
     def convert(user, item, value, date):
         v = float(value)
         if not math.isfinite(v):
             raise ValueError("non-finite rating")
-        return user, item, v, _parse_date(date, fmt.date_format)
+        return user, item, v, _parse_date(date, date_format)
 
-    return _read_table(path, fmt, _RATING_COLUMNS, _RATING_SCHEMA, convert)
+    return _read_table(path, delimiter, _RATING_SCHEMA, convert)
 
 
-def parse_trust(path, fmt: TableFormat = TableFormat()) -> np.ndarray:
+def parse_trust(path, delimiter: str = "\t", date_format: str = "iso") -> np.ndarray:
     """Read trust edges (user_a, user_b, date) from a delimited text file.
 
     Returns a structured array with fields ``user_a``, ``user_b`` (str) and
     ``timestamp`` (int64 days), one record per well-formed row in file
     order. Self-loops are dropped, counted and logged; repeated and reversed
     pairs are kept, for :class:`~socialdmf.domain.TrustTimeline` to collapse
-    into one edge at its earliest bin. Malformed handling matches
-    :func:`parse_ratings`.
+    into one edge at its earliest bin. ``delimiter``, ``date_format`` and
+    malformed handling match :func:`parse_ratings`.
     """
 
     def convert(a, b, date):
-        return a, b, _parse_date(date, fmt.date_format)
+        return a, b, _parse_date(date, date_format)
 
-    table = _read_table(path, fmt, _TRUST_COLUMNS, _TRUST_SCHEMA, convert)
+    table = _read_table(path, delimiter, _TRUST_SCHEMA, convert)
     loops = table["user_a"] == table["user_b"]
     if loops.any():
         logger.warning("%s: dropped %d self-loop edges", path, int(loops.sum()))
@@ -225,7 +206,6 @@ class SplitTimeline:
 
     train: RatingsTimeline
     test: RatingsTimeline
-    seed: int
 
     def __post_init__(self) -> None:
         a, b = self.train, self.test
@@ -262,7 +242,7 @@ def split_train_test(timeline: RatingsTimeline, fraction: float, seed: int) -> S
         test_bins.append((users[te], items[te], values[te]))
     train = RatingsTimeline(timeline.m, timeline.n, train_bins)
     test = RatingsTimeline(timeline.m, timeline.n, test_bins)
-    return SplitTimeline(train=train, test=test, seed=seed)
+    return SplitTimeline(train=train, test=test)
 
 
 def merge_split(split: SplitTimeline) -> RatingsTimeline:
@@ -323,7 +303,9 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
 
     Each pair in trust_bin_<t>.tsv is an edge created in bin t at the
     latest, so bin t's graph is the union of files 0..t; a directory whose
-    trust files are cumulative loads to the same graphs.
+    trust files are cumulative loads to the same graphs. A row that does not
+    parse, or a trust pair with an endpoint outside ``[0, m)`` or a
+    self-loop, raises :class:`DataFormatError` naming its file.
     """
     directory = Path(directory)
     meta_path = directory / "meta.txt"
@@ -359,7 +341,10 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
     def read_rows(path, width, dtype):
         if not path.stat().st_size:
             return np.empty((0, width), dtype=dtype)
-        return np.loadtxt(path, delimiter="\t", dtype=dtype, ndmin=2)
+        try:
+            return np.loadtxt(path, delimiter="\t", dtype=dtype, ndmin=2)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
 
     bins = []
     pairs = []
@@ -369,7 +354,13 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
         if data.shape[0] != counts[t]:
             raise DataFormatError(f"{path}: has {data.shape[0]} rows, meta.txt says {counts[t]}")
         bins.append((data[:, 0].astype(np.int64), data[:, 1].astype(np.int64), data[:, 2]))
-        pairs.append(read_rows(directory / f"trust_bin_{t}.tsv", 2, np.int64))
+        path = directory / f"trust_bin_{t}.tsv"
+        edges = read_rows(path, 2, np.int64)
+        if edges.size and (edges.min() < 0 or edges.max() >= m):
+            raise DataFormatError(f"{path}: user index out of range [0, {m})")
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise DataFormatError(f"{path}: self-loop edge")
+        pairs.append(edges)
     created = np.repeat(np.arange(N), [len(p) for p in pairs])
     edges = np.concatenate(pairs)
     trust = TrustTimeline(m, N, edges[:, 0], edges[:, 1], created)

@@ -210,8 +210,7 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
         raise NumericalError("process term is non-finite")
 
     social = 0.0
-    use_social = cfg.lam > 0 and problem.laplacians is not None
-    if use_social:
+    if cfg.lam > 0:
         quad = 0.0
         for t in range(problem.N):
             quad += laplacian_quadratic(problem.laplacians[t], X[t, 1])
@@ -226,7 +225,7 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     grad = apply_measurement_adjoint(problem, rm)
     grad *= 1.0 / sigma2
     grad += apply_process_adjoint(problem, qr)
-    if use_social:
+    if cfg.lam > 0:
         grad_blocks = _blocks(problem, grad)
         for t in range(problem.N):
             grad_blocks[t, 1] += cfg.lam * apply_laplacian(problem.laplacians[t], X[t, 1])
@@ -285,7 +284,6 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     F = np.array([[1.0, 0.0], [cfg.dt, 1.0]])
     eye = np.eye(k)
     coupling = np.kron(-F.T @ q_inv, eye)  # block (t, t+1) of every user
-    use_social = cfg.lam > 0 and problem.laplacians is not None
 
     inverses = np.empty((N, m, 2 * k, 2 * k), dtype=np.float32)
     for t in range(N):
@@ -293,7 +291,7 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
         S = np.repeat(np.kron(a, eye)[None], m, axis=0)
         rated, observed, counts, _ = _compress(*problem.train.bin(t))
         S[rated, k:, k:] += gram_blocks(counts, problem.factors[t].V[observed]) / cfg.sigma**2
-        if use_social:
+        if cfg.lam > 0:
             S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[:, None, None] * eye
         if t > 0:
             S -= coupling.T @ S_inv @ coupling

@@ -370,6 +370,14 @@ def test_evaluate_on_a_wrong_length_count_list_exits_2(synth_dataset, tmp_path, 
     assert "meta.txt" in err and "Traceback" not in err
 
 
+def test_evaluate_names_a_trust_file_with_an_out_of_range_user(synth_dataset, tmp_path, capsys):
+    path = synth_dataset / "trust_bin_1.tsv"
+    path.write_text(path.read_text() + "0\t15\n")  # the dataset has users 0..14
+    rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(tmp_path / "f")])
+    assert rc == 2
+    assert f"{path}: user index out of range [0, 15)" in capsys.readouterr().err
+
+
 def test_ingest_writes_a_repeated_edge_once(tmp_path, capsys):
     ratings, trust = write_raw_corpus(tmp_path)
     trust.write_text(trust.read_text() + "bob\tann\t2002-01-20\nann\tbob\t2003-05-01\n")
@@ -448,6 +456,28 @@ def test_config_file_matches_the_same_flags(synth_dataset, tmp_path):
     from_file = main(base + ["--config", str(config), "--out", str(tmp_path / "b")])
     assert from_flags == from_file == 0
     same_files(tmp_path / "a", tmp_path / "b")  # U.npy, V.npy and trace.csv
+
+
+@pytest.mark.parametrize("word", ["0", "False", "NO", "off"])
+def test_config_file_false_words_match_no_align(synth_dataset, tmp_path, word):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"align_factors={word}\n")
+    base = ["factorize", "--data", str(synth_dataset), "--k", "2"]
+    assert main(base + ["--no-align", "--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--config", str(config), "--out", str(tmp_path / "b")]) == 0
+    same_files(tmp_path / "a", tmp_path / "b")
+
+
+def test_config_boolean_that_is_not_a_boolean_exits_2(synth_dataset, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("k=2\nalign_factors=ture\n")
+    rc = main([
+        "factorize", "--data", str(synth_dataset), "--config", str(config),
+        "--out", str(tmp_path / "c"),
+    ])
+    assert rc == 2
+    assert f"{config}:2: align_factors" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_config_file_reaches_synth_options(tmp_path):

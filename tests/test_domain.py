@@ -37,7 +37,7 @@ def test_noise_block_identity_guard():
     good = process_noise_block(1.0)
     with pytest.raises(NumericalError):
         ProcessNoiseBlockBroken = type(good)
-        ProcessNoiseBlockBroken(dt=1.0, q=good.q, q_inv=2.0 * good.q_inv)
+        ProcessNoiseBlockBroken(q=good.q, q_inv=2.0 * good.q_inv)
 
 
 def _pack(blocks):

@@ -90,8 +90,7 @@ def test_synth_is_deterministic():
 
 def test_synth_noiseless_constant_velocity_is_exact():
     split, _, truth = synth_generate(
-        8, 6, 2, 4, 20, 5, eta=0.0, noise_std=0.0, seed=3,
-        velocity_std=0.1, process_std=0.0,
+        8, 6, 2, 4, 20, 5, eta=0.0, noise_std=0.0, seed=3, process_std=0.0,
     )
     for t in range(4):
         np.testing.assert_array_equal(truth.velocities[t], truth.velocities[0])
@@ -264,7 +263,7 @@ def test_write_results_csv_handles_nan(tmp_path):
 
     r = ExperimentResult(
         model="static", k=2, lam=None, rmse_per_bin=[float("nan")],
-        rmse_weighted=float("nan"), wall_seconds=0.0, config={}, seed=0,
+        rmse_weighted=float("nan"), wall_seconds=0.0, seed=0,
         status="error: boom",
     )
     path = tmp_path / "res.csv"

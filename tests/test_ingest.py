@@ -9,7 +9,6 @@ import pytest
 from socialdmf import (
     DataFormatError,
     RatingsTimeline,
-    TableFormat,
     bin_timelines,
     filter_min_ratings,
     load_dataset,
@@ -55,31 +54,15 @@ def test_parse_ratings_iso_dates(tmp_path):
 def test_parse_ratings_day_numbers_and_custom_delimiter(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("u1,i1,3,120\nu1,i2,5,121\n")
-    fmt = TableFormat(delimiter=",", date_format="days")
-    out = parse_ratings(path, fmt)
+    out = parse_ratings(path, delimiter=",", date_format="days")
     assert out["timestamp"].tolist() == [120, 121]
 
 
 def test_parse_ratings_strptime_format(tmp_path):
     path = tmp_path / "r.tsv"
     path.write_text("u1\ti1\t3.0\t15/05/2003\n")
-    out = parse_ratings(path, TableFormat(date_format="%d/%m/%Y"))
+    out = parse_ratings(path, date_format="%d/%m/%Y")
     assert out["timestamp"][0] == days("2003-05-15")
-
-
-def test_parse_ratings_custom_column_order(tmp_path):
-    path = tmp_path / "r.tsv"
-    path.write_text("2004-01-01\t4.5\tmovie9\talice\n")
-    fmt = TableFormat(columns=("date", "value", "item", "user"))
-    out = parse_ratings(path, fmt)
-    assert out.tolist() == [("alice", "movie9", 4.5, days("2004-01-01"))]
-
-
-def test_parse_ratings_missing_required_column(tmp_path):
-    path = tmp_path / "r.tsv"
-    path.write_text("x\ty\n")
-    with pytest.raises(DataFormatError, match="required"):
-        parse_ratings(path, TableFormat(columns=("user", "item", "value")))
 
 
 def test_parse_ratings_counts_and_skips_malformed(tmp_path, caplog):
@@ -131,7 +114,7 @@ def test_repeated_and_reversed_trust_rows_become_one_edge_at_the_earliest_bin(tm
         "carol\tbob\t12\n"
         "bob\tcarol\t22\n"
     )
-    edges = parse_trust(path, TableFormat(date_format="days"))
+    edges = parse_trust(path, date_format="days")
     # parse_trust keeps every row, in file order.
     assert edges.dtype.names == ("user_a", "user_b", "timestamp")
     assert [tuple(row) for row in edges.tolist()] == [
@@ -518,6 +501,16 @@ def test_load_dataset_reads_cumulative_trust_files(tmp_path):
     for t in range(trust.N):
         assert (loaded.graph(t) != trust.graph(t)).nnz == 0
         np.testing.assert_array_equal(loaded.laplacians[t].degrees, trust.laplacians[t].degrees)
+
+
+@pytest.mark.parametrize("line", ["0\t3\n", "-1\t0\n", "1\t1\n", "0\tx\n"])
+def test_load_dataset_names_a_trust_file_with_a_bad_pair(tmp_path, line):
+    # The fixture has users 0..2: endpoints above and below that range, a self-loop, a non-integer.
+    _saved_fixture(tmp_path / "d")
+    path = tmp_path / "d" / "trust_bin_1.tsv"
+    path.write_text(path.read_text() + line)
+    with pytest.raises(DataFormatError, match="trust_bin_1.tsv"):
+        load_dataset(tmp_path / "d")
 
 
 @pytest.mark.parametrize("counts", ["2,2", "2,2,2,2", ""])
