@@ -3,8 +3,8 @@
 Shows that the measurement and transition operators satisfy their adjoint
 identities, that the analytic gradient agrees with central differences, and
 that L-BFGS with exact steps drives the quadratic objective to its minimum
-from a cold start, with and without the per-user block-tridiagonal
-preconditioner that ``run_dynamic`` uses.
+from a cold start, with and without the preconditioner that ``run_dynamic``
+uses: per-user block-tridiagonal, plus a coarse all-users correction.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from socialdmf import (
     objective_terms,
     random_problem,
 )
-from socialdmf.smoother import block_preconditioner
+from socialdmf.smoother import block_preconditioner, coarse_correction
 
 
 def main():
@@ -64,7 +64,8 @@ def main():
 
     plain = solve(memory=15)
     # As run_dynamic solves: preconditioned, with 5 curvature pairs.
-    result = solve(memory=5, precondition=block_preconditioner(problem))
+    precondition = coarse_correction(problem, block_preconditioner(problem))
+    result = solve(memory=5, precondition=precondition)
     print(f"optimizer: {result.status} after {result.iterations} iterations "
           f"preconditioned, {plain.iterations} without ({plain.status}), "
           f"f {result.trace[0][1]:.4f} -> {result.f:.6f}")

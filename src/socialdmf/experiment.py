@@ -37,7 +37,7 @@ from .factorize import init_timeline
 from .ingest import SplitTimeline, split_train_test
 from .laplacian import LaplacianOperator, apply_laplacian, build_timeline_laplacians
 from .optim import finite_diff_check, lbfgs_minimize
-from .smoother import SmootherProblem, block_preconditioner, objective_and_gradient
+from .smoother import SmootherProblem, block_preconditioner, coarse_correction, objective_and_gradient
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +144,9 @@ def run_dynamic(
 
     The optimizer warm-starts from the static factors (positions) with zero
     velocities. Item factors stay fixed at their per-bin static estimates.
-    L-BFGS is preconditioned with :func:`~socialdmf.smoother.block_preconditioner`.
+    L-BFGS is preconditioned with :func:`~socialdmf.smoother.block_preconditioner`
+    plus, at ``lam > 0``, its all-users
+    :func:`~socialdmf.smoother.coarse_correction`.
     The result's status is "ok" only when the optimizer converged; otherwise
     it is the optimizer's own status, e.g. "max_iter".
     """
@@ -167,7 +169,7 @@ def run_dynamic(
         memory=5,
         max_iter=config.max_iter,
         grad_tol=config.grad_tol,
-        precondition=block_preconditioner(problem),
+        precondition=coarse_correction(problem, block_preconditioner(problem)),
     )
     final = SmootherState(x=result.x, N=factors.N, m=factors.m, k=config.k)
     smoothed = FactorTimeline(

@@ -304,8 +304,9 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
     Each pair in trust_bin_<t>.tsv is an edge created in bin t at the
     latest, so bin t's graph is the union of files 0..t; a directory whose
     trust files are cumulative loads to the same graphs. A row that does not
-    parse, or a trust pair with an endpoint outside ``[0, m)`` or a
-    self-loop, raises :class:`DataFormatError` naming its file.
+    parse, a file with the wrong number of columns, or a trust pair with an
+    endpoint outside ``[0, m)`` or a self-loop, raises
+    :class:`DataFormatError` naming its file.
     """
     directory = Path(directory)
     meta_path = directory / "meta.txt"
@@ -342,9 +343,12 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
         if not path.stat().st_size:
             return np.empty((0, width), dtype=dtype)
         try:
-            return np.loadtxt(path, delimiter="\t", dtype=dtype, ndmin=2)
+            data = np.loadtxt(path, delimiter="\t", dtype=dtype, ndmin=2)
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
+        if data.shape[1] != width:
+            raise DataFormatError(f"{path}: has {data.shape[1]} columns, expected {width}")
+        return data
 
     bins = []
     pairs = []

@@ -263,6 +263,21 @@ def objective_and_gradient(problem: SmootherProblem, x: np.ndarray) -> tuple[flo
     return meas + proc + social, grad
 
 
+def _time_stencil(problem: SmootherProblem) -> tuple[np.ndarray, np.ndarray]:
+    """One user's process Hessian ``G' Qinv G`` per latent coordinate.
+
+    Returns the (N, 2, 2) diagonal blocks ``a_t = Qinv + F' Qinv F``
+    (``Qinv`` for the last bin) over (velocity, position), F the
+    constant-velocity transition, and the 2-by-2 block ``-F' Qinv`` that
+    couples bins t and t+1.
+    """
+    q_inv = problem.noise.q_inv
+    F = np.array([[1.0, 0.0], [problem.config.dt, 1.0]])
+    diagonal = np.repeat((q_inv + F.T @ q_inv @ F)[None], problem.N, axis=0)
+    diagonal[-1] = q_inv
+    return diagonal, -F.T @ q_inv
+
+
 def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.ndarray]:
     """``r -> P^-1 r``, P the Hessian without the Laplacians' adjacency entries.
 
@@ -280,15 +295,13 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     """
     N, m, k = problem.N, problem.m, problem.k
     cfg = problem.config
-    q_inv = problem.noise.q_inv
-    F = np.array([[1.0, 0.0], [cfg.dt, 1.0]])
+    diagonal, off = _time_stencil(problem)
     eye = np.eye(k)
-    coupling = np.kron(-F.T @ q_inv, eye)  # block (t, t+1) of every user
+    coupling = np.kron(off, eye)  # block (t, t+1) of every user
 
     inverses = np.empty((N, m, 2 * k, 2 * k), dtype=np.float32)
     for t in range(N):
-        a = q_inv + F.T @ q_inv @ F if t < N - 1 else q_inv
-        S = np.repeat(np.kron(a, eye)[None], m, axis=0)
+        S = np.repeat(np.kron(diagonal[t], eye)[None], m, axis=0)
         rated, observed, counts, _ = _compress(*problem.train.bin(t))
         S[rated, k:, k:] += gram_blocks(counts, problem.factors[t].V[observed]) / cfg.sigma**2
         if cfg.lam > 0:
@@ -311,5 +324,53 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
         for t in range(N - 2, -1, -1):
             X[t] -= solve(t, X[t + 1] @ coupling.T)
         return X.reshape(N, m, 2, k).transpose(0, 2, 1, 3).reshape(-1)
+
+    return apply
+
+
+def coarse_correction(
+    problem: SmootherProblem, precondition: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``r -> P^-1 r + Z (E^-1 - E_P^-1) Z' r`` for P from :func:`block_preconditioner`.
+
+    P drops the Laplacians' adjacency, so it is far too stiff where every
+    user moves together: there ``L 1 = 0`` but ``D 1`` is large. Z has one
+    column per (bin, velocity/position, latent coordinate), equal for every
+    user, so ``Z' r`` sums over users and ``Z c`` broadcasts. Because
+    ``L 1 = 0``, ``E = Z' A Z`` is ``kron(m T, I_k)``, T one user's 2N-by-2N
+    time stencil, plus ``sum_l V_j V_j' / sigma^2`` over each bin's training
+    ratings on its position block; ``E_P = Z' P Z`` adds ``lam * sum(deg_t)
+    I_k`` there. The result is symmetric positive definite because
+    ``E <= E_P``. It is a one-aggregate coarse space in the additive form
+    (Nicolaides, SIAM J. Numer. Anal. 24, 1987; Tang, Nabben, Vuik &
+    Erlangga, J. Sci. Comput. 39, 2009). ``precondition`` is the apply
+    :func:`block_preconditioner` returned for ``problem``; each of its
+    results is a new array, which the correction adds to in place. At
+    ``lam = 0`` P is the Hessian and ``precondition`` is returned as given.
+    """
+    cfg = problem.config
+    if cfg.lam == 0:
+        return precondition
+    N, m, k = problem.N, problem.m, problem.k
+    diagonal, off = _time_stencil(problem)
+    T = np.zeros((N, 2, N, 2))
+    T[np.arange(N), :, np.arange(N)] = diagonal
+    T[np.arange(N - 1), :, np.arange(1, N)] = off
+    T[np.arange(1, N), :, np.arange(N - 1)] = off.T
+    E = np.kron(m * T.reshape(2 * N, 2 * N), np.eye(k)).reshape(N, 2, k, N, 2, k)
+    E_P = E.copy()
+    for t in range(N):
+        V = problem.factors[t].V[problem.train.items[t]]
+        gram = V.T @ V / cfg.sigma**2
+        E[t, 1, :, t, 1] += gram
+        E_P[t, 1, :, t, 1] += gram + cfg.lam * problem.laplacians[t].degrees.sum() * np.eye(k)
+    size = 2 * N * k
+    delta = np.linalg.inv(E.reshape(size, size)) - np.linalg.inv(E_P.reshape(size, size))
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        out = precondition(r)
+        coarse = delta @ _blocks(problem, r).sum(axis=2).reshape(-1)
+        _blocks(problem, out)[:] += coarse.reshape(N, 2, 1, k)
+        return out
 
     return apply

@@ -378,6 +378,15 @@ def test_evaluate_names_a_trust_file_with_an_out_of_range_user(synth_dataset, tm
     assert f"{path}: user index out of range [0, 15)" in capsys.readouterr().err
 
 
+def test_evaluate_names_a_ratings_file_with_two_columns(synth_dataset, tmp_path, capsys):
+    path = synth_dataset / "ratings_bin_0.tsv"
+    path.write_text("".join(line.rpartition("\t")[0] + "\n" for line in path.read_text().splitlines()))
+    rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(tmp_path / "f")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}: has 2 columns, expected 3" in err and "Traceback" not in err
+
+
 def test_ingest_writes_a_repeated_edge_once(tmp_path, capsys):
     ratings, trust = write_raw_corpus(tmp_path)
     trust.write_text(trust.read_text() + "bob\tann\t2002-01-20\nann\tbob\t2003-05-01\n")

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from socialdmf import (
     objective_terms,
     random_problem,
 )
-from socialdmf.smoother import block_preconditioner
+from socialdmf.smoother import block_preconditioner, coarse_correction
 
 import oracles
 
@@ -113,6 +115,34 @@ def test_preconditioner_inverts_the_hessian_without_adjacency(seed, lam, dt, cas
 
 
 @pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "lam,dt,case",
+    [*PRECONDITIONER_CASES, pytest.param(0.3, 1.0, "edgeless bin", id="edgeless-bin")],
+)
+def test_coarse_correction_adds_the_all_users_mode(seed, lam, dt, case):
+    problem = _edge_case_problem(case, seed, lam, 0.7, dt)
+    H = oracles.dense_measurement(problem)
+    G = oracles.dense_process(problem)
+    S = oracles.dense_social(problem)
+    A = H.T @ H / 0.7**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
+    P = A - lam * S + lam * np.diag(np.diag(S))
+    apply = block_preconditioner(problem)
+    corrected = coarse_correction(problem, apply)
+    if lam == 0:
+        assert corrected is apply
+    # One column per (bin, velocity/position, coordinate), equal for every user.
+    Z = np.kron(np.eye(2 * problem.N), np.kron(np.ones((problem.m, 1)), np.eye(problem.k)))
+    E, E_P = Z.T @ A @ Z, Z.T @ P @ Z
+    expected = np.linalg.inv(P) + Z @ (np.linalg.inv(E) - np.linalg.inv(E_P)) @ Z.T
+    M = np.column_stack([corrected(e) for e in np.eye(problem.state_size)])
+    # P's inverse blocks are stored in float32.
+    atol = 1e-5 * np.abs(expected).max()
+    np.testing.assert_allclose(M, expected, rtol=1e-5, atol=atol)
+    np.testing.assert_allclose(M, M.T, rtol=0, atol=atol)
+    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0
+
+
+@pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("lam,dt,case", PRECONDITIONER_CASES)
 def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, case):
     problem = _edge_case_problem(case, seed, lam, 0.7, dt)
@@ -120,13 +150,15 @@ def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, c
     f_star = oracles.dense_objective(problem, x_star)
     # 1e-10 is far below what the objective gap needs; the solve must still
     # report convergence.
-    for grad_tol in (1e-6, 1e-10):
+    operators = [block_preconditioner(problem)]
+    operators.append(coarse_correction(problem, operators[0]))
+    for precondition, grad_tol in product(operators, (1e-6, 1e-10)):
         result = lbfgs_minimize(
             lambda x: objective_and_gradient(problem, x),
             np.zeros(problem.state_size),
             memory=5,
             grad_tol=grad_tol,
-            precondition=block_preconditioner(problem),
+            precondition=precondition,
         )
         assert result.status == "converged", grad_tol
         assert abs(objective(problem, result.x) - f_star) <= 1e-8
