@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=30, help="alternating iterations (default %(default)s)")
     p.add_argument("--out", required=True, help="output checkpoint directory")
     _add_model_flags(p, "k", "gamma", "align_factors", "seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default %(default)s)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="bins fitted at once (default: all usable CPUs)")
     p.set_defaults(func=cmd_factorize)
 
     p = add_command("smooth", help="smooth user trajectories and write a checkpoint")
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of social weights (default %(default)s)")
     p.add_argument("--out", required=True, help="results CSV path")
     _add_model_flags(p, "sigma", "dt", "gamma", "max_iter", "grad_tol", "align_factors", "seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default %(default)s)")
+    p.add_argument("--threads", type=int, default=1, help="cells run at once (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
     p = add_command("checkgrad", help="verify the smoother gradient on a random instance")

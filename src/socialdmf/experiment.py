@@ -210,7 +210,10 @@ def sweep(
     Static factors are computed once per k and shared by every run at that
     rank. Each distinct cell runs once, in first-seen order; a lambda of 0
     is the dynamic run. A failing run is recorded with an error status and
-    the sweep continues. Row order is deterministic regardless of ``n_jobs``.
+    the sweep continues. ``n_jobs`` cells of one rank run at once; each
+    still fits its bins and builds its preconditioner on the package's
+    shared thread pool. Row order is deterministic regardless of
+    ``n_jobs``.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -219,7 +222,7 @@ def sweep(
     for k in dict.fromkeys(map(int, ks)):
         config_k = dataclasses.replace(config, k=k)
         try:
-            factors = init_timeline(split, config_k, n_jobs=n_jobs)
+            factors = init_timeline(split, config_k)
         except Exception as exc:  # noqa: BLE001 - a sweep must survive one bad cell
             logger.error("init failed for k=%d: %s", k, exc)
             results.extend(_failed_run(lam, config_k, split.train.N, exc) for lam in cells)
@@ -248,19 +251,19 @@ def write_results_csv(path, results: Sequence[ExperimentResult], N: int) -> None
     """Write sweep results with one row per run.
 
     Columns: model, k, lambda, rmse_weighted, rmse_bin_0..rmse_bin_{N-1},
-    wall_seconds, seed, status, rel_grad. The lambda cell is empty for
-    static rows.
+    wall_seconds, iterations, seed, status, rel_grad. The lambda cell is
+    empty for static rows.
     """
     header = ["model", "k", "lambda", "rmse_weighted"]
     header += [f"rmse_bin_{t}" for t in range(N)]
-    header += ["wall_seconds", "seed", "status", "rel_grad"]
+    header += ["wall_seconds", "iterations", "seed", "status", "rel_grad"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in results:
             row = [r.model, r.k, "" if r.lam is None else repr(float(r.lam)), repr(r.rmse_weighted)]
             row += [repr(v) for v in r.rmse_per_bin]
-            row += [f"{r.wall_seconds:.3f}", r.seed, r.status, repr(r.rel_grad)]
+            row += [f"{r.wall_seconds:.3f}", r.iterations, r.seed, r.status, repr(r.rel_grad)]
             writer.writerow(row)
 
 

@@ -13,14 +13,15 @@ leaves every product U V' unchanged.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from ._parallel import parallel_map
 from .domain import FactorPair, FactorTimeline, SmootherConfig
 from .ingest import SplitTimeline
 
@@ -58,7 +59,7 @@ def _ridge_rows(
     values: sp.csr_matrix,
     other_rows: np.ndarray,
     gamma: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Solve every per-row ridge system (M'M + gamma I) x = M'z exactly.
 
     ``counts[i, c]`` is how often row i observed column c and ``values[i, c]``
@@ -66,13 +67,19 @@ def _ridge_rows(
     So row i's system is over its observations, and a repeated (row, col)
     pair counts twice. One sparse product forms every Gram matrix and one
     batched call solves them.
+
+    Returns the solutions and ``sum_i x_i' b_i`` over the right-hand sides
+    ``b_i = M'z``. At these optima row i's share of the fit term,
+    ``1/2 ||z - M x_i||^2 + gamma/2 ||x_i||^2``, is ``1/2 (z'z - x_i' b_i)``,
+    so the objective follows without predicting a single rating.
     """
     G = gram_blocks(counts, other_rows)
     G += gamma * np.eye(other_rows.shape[1])
     b = values @ other_rows
     # The trailing singleton makes b a stack of column vectors, which
     # keeps the batched solve unambiguous across numpy versions.
-    return np.linalg.solve(G, b[..., None])[..., 0]
+    x = np.linalg.solve(G, b[..., None])[..., 0]
+    return x, float(np.vdot(x, b))
 
 
 def _penalized_objective(users, items, values, U, V, gamma) -> float:
@@ -138,14 +145,15 @@ def factorize_bin(
     V = rng.normal(0.0, scale, size=(n, k))
 
     trace = [_penalized_objective(users, items, values, U, V, gamma)]
+    half_zz = 0.5 * float(values @ values)
     previous_full = trace[0]
     for _ in range(iters):
         U = np.zeros((m, k))
-        U[row_ids] = _ridge_rows(counts, sums, V[col_ids], gamma)
-        trace.append(_penalized_objective(users, items, values, U, V, gamma))
+        U[row_ids], fit = _ridge_rows(counts, sums, V[col_ids], gamma)
+        trace.append(half_zz - 0.5 * fit + 0.5 * gamma * float(np.vdot(V, V)))
         V = np.zeros((n, k))
-        V[col_ids] = _ridge_rows(counts_t, sums_t, U[row_ids], gamma)
-        trace.append(_penalized_objective(users, items, values, U, V, gamma))
+        V[col_ids], fit = _ridge_rows(counts_t, sums_t, U[row_ids], gamma)
+        trace.append(half_zz - 0.5 * fit + 0.5 * gamma * float(np.vdot(U, U)))
         current = trace[-1]
         if abs(previous_full - current) <= tol * max(1.0, abs(current)):
             break
@@ -171,15 +179,19 @@ def init_timeline(
     split: SplitTimeline,
     config: SmootherConfig,
     iters: int = 30,
-    n_jobs: int = 1,
+    n_jobs: Optional[int] = None,
 ) -> FactorTimeline:
     """Factorize every bin of the training half independently.
 
     Bins without training data get zero factors (with a warning). When
     ``config.align_factors`` is set, each bin is rotated into the frame of
-    its predecessor after fitting.
+    its predecessor after fitting. The bins are fitted on up to ``n_jobs``
+    threads of the package's shared pool, all usable CPUs by default;
+    ``n_jobs=1`` fits them one after another on the calling thread. Each
+    bin's fit is seeded on its own, so the factors do not depend on
+    ``n_jobs``.
     """
-    if n_jobs < 1:
+    if n_jobs is not None and n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     train = split.train
     N = train.N
@@ -197,12 +209,7 @@ def init_timeline(
         )
         return pair
 
-    if n_jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            pairs = list(pool.map(fit, range(N)))
-    else:
-        pairs = [fit(t) for t in range(N)]
-
+    pairs = parallel_map(fit, range(N), workers=n_jobs)
     if config.align_factors:
         for t in range(1, N):
             pairs[t] = align_factor_pair(pairs[t], pairs[t - 1])

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ._parallel import parallel_map
 from .domain import (
     FactorTimeline,
     NumericalError,
@@ -36,6 +37,11 @@ from .domain import (
 )
 from .factorize import _compress, gram_blocks
 from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
+
+# Most users per chunk of block_preconditioner's build and applies: enough to
+# keep numpy's per-call overhead small, few enough to bound the build's
+# temporaries and to give every thread work at the benchmark shapes.
+PRECONDITIONER_CHUNK = 128
 
 
 class SmootherProblem:
@@ -292,37 +298,65 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     complements as one (N, m, 2k, 2k) float32 stack; an apply is a forward
     and a backward sweep of float64 batched mat-vecs, a fixed symmetric
     positive definite operator.
+
+    Users are independent in P, so the build and each apply run in equal
+    chunks of at most :data:`PRECONDITIONER_CHUNK` users on the package's
+    shared thread pool, and the build's temporaries are bounded by the
+    chunk. The result does not depend on the chunking: ``inv`` and the
+    batched products work matrix by matrix, and OpenBLAS rounds each row of
+    an apply's (users, 2k) products alike in any block but a short one (one
+    row; up to about 30 at k = 20), which equal chunks avoid.
     """
     N, m, k = problem.N, problem.m, problem.k
     cfg = problem.config
     diagonal, off = _time_stencil(problem)
     eye = np.eye(k)
     coupling = np.kron(off, eye)  # block (t, t+1) of every user
+    # Each bin's ratings in user order, so a chunk's ratings are one slice.
+    by_user = []
+    for t in range(N):
+        users, items, values = problem.train.bin(t)
+        order = np.argsort(users, kind="stable")
+        by_user.append((users[order], items[order], values[order]))
+    count = -(-m // PRECONDITIONER_CHUNK)
+    chunks = [slice(m * c // count, m * (c + 1) // count) for c in range(count)]
 
     inverses = np.empty((N, m, 2 * k, 2 * k), dtype=np.float32)
-    for t in range(N):
-        S = np.repeat(np.kron(diagonal[t], eye)[None], m, axis=0)
-        rated, observed, counts, _ = _compress(*problem.train.bin(t))
-        S[rated, k:, k:] += gram_blocks(counts, problem.factors[t].V[observed]) / cfg.sigma**2
-        if cfg.lam > 0:
-            S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[:, None, None] * eye
-        if t > 0:
-            S -= coupling.T @ S_inv @ coupling
-        S_inv = np.linalg.inv(S)
-        S_inv = 0.5 * (S_inv + S_inv.transpose(0, 2, 1))
-        inverses[t] = S_inv
 
-    def solve(t: int, y: np.ndarray) -> np.ndarray:
-        return np.matmul(inverses[t].astype(np.float64), y[..., None])[..., 0]
+    def build(chunk: slice) -> None:
+        for t in range(N):
+            S = np.repeat(np.kron(diagonal[t], eye)[None], chunk.stop - chunk.start, axis=0)
+            users, items, values = by_user[t]
+            lo, hi = np.searchsorted(users, (chunk.start, chunk.stop))
+            if hi > lo:
+                rated, observed, counts, _ = _compress(users[lo:hi], items[lo:hi], values[lo:hi])
+                V = problem.factors[t].V[observed]
+                S[rated - chunk.start, k:, k:] += gram_blocks(counts, V) / cfg.sigma**2
+            if cfg.lam > 0:
+                S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[chunk, None, None] * eye
+            if t > 0:
+                S -= coupling.T @ S_inv @ coupling
+            S_inv = np.linalg.inv(S)
+            S_inv = 0.5 * (S_inv + S_inv.transpose(0, 2, 1))
+            inverses[t, chunk] = S_inv
+
+    parallel_map(build, chunks)
+
+    def solve(t: int, chunk: slice, y: np.ndarray) -> np.ndarray:
+        return np.matmul(inverses[t, chunk].astype(np.float64), y[..., None])[..., 0]
 
     def apply(r: np.ndarray) -> np.ndarray:
         R = _blocks(problem, r).transpose(0, 2, 1, 3).reshape(N, m, 2 * k)
         X = np.empty_like(R)
-        X[0] = solve(0, R[0])
-        for t in range(1, N):
-            X[t] = solve(t, R[t] - X[t - 1] @ coupling)
-        for t in range(N - 2, -1, -1):
-            X[t] -= solve(t, X[t + 1] @ coupling.T)
+
+        def sweep(chunk: slice) -> None:
+            X[0, chunk] = solve(0, chunk, R[0, chunk])
+            for t in range(1, N):
+                X[t, chunk] = solve(t, chunk, R[t, chunk] - X[t - 1, chunk] @ coupling)
+            for t in range(N - 2, -1, -1):
+                X[t, chunk] -= solve(t, chunk, X[t + 1, chunk] @ coupling.T)
+
+        parallel_map(sweep, chunks)
         return X.reshape(N, m, 2, k).transpose(0, 2, 1, 3).reshape(-1)
 
     return apply

@@ -258,6 +258,19 @@ def test_sweep_threads_match_sequential(small_synth):
         np.testing.assert_allclose(a.rmse_weighted, b.rmse_weighted, rtol=1e-12)
 
 
+def test_sweep_csv_rows_carry_iterations(small_synth, tmp_path):
+    split, trust, _ = small_synth
+    csv_path = tmp_path / "sweep.csv"
+    config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=30)
+    results = sweep(split, trust, ks=[2], lambdas=[0.01], config=config, csv_path=csv_path)
+    with open(csv_path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    column = header.index("iterations")
+    assert header[column - 1] == "wall_seconds" and header[column + 1] == "seed"
+    assert [int(row[column]) for row in rows] == [r.iterations for r in results]
+    assert any(r.iterations > 0 for r in results)
+
+
 def test_write_results_csv_handles_nan(tmp_path):
     from socialdmf import ExperimentResult
 

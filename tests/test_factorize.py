@@ -15,7 +15,7 @@ from socialdmf import (
     save_factors,
     split_train_test,
 )
-from socialdmf.factorize import _compress, _ridge_rows
+from socialdmf.factorize import _compress, _penalized_objective, _ridge_rows
 
 
 def random_bin(m, n, p, seed, repeat_users=True):
@@ -37,6 +37,27 @@ def test_trace_is_non_increasing(seed):
     slack = 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
     assert np.all(np.diff(trace) <= slack)
     assert trace.size >= 3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_matches_the_objective_of_each_half_step(seed):
+    users, items, values = random_bin(12, 9, 40, seed)
+    _, trace = factorize_bin((users, items, values), 12, 9, k=3, gamma=0.5, iters=4, seed=seed, tol=0.0)
+    # Replay the half-steps and score each one by predicting every rating.
+    row_ids, col_ids, counts, sums = _compress(users, items, values)
+    rng = np.random.default_rng(seed)
+    U = rng.normal(0.0, 1 / np.sqrt(3), size=(12, 3))
+    V = rng.normal(0.0, 1 / np.sqrt(3), size=(9, 3))
+    expected = [_penalized_objective(users, items, values, U, V, 0.5)]
+    for _ in range(4):
+        U = np.zeros((12, 3))
+        U[row_ids], _ = _ridge_rows(counts, sums, V[col_ids], 0.5)
+        expected.append(_penalized_objective(users, items, values, U, V, 0.5))
+        V = np.zeros((9, 3))
+        V[col_ids], _ = _ridge_rows(counts.T.tocsr(), sums.T.tocsr(), U[row_ids], 0.5)
+        expected.append(_penalized_objective(users, items, values, U, V, 0.5))
+    assert trace[0] == expected[0]
+    np.testing.assert_allclose(trace, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -71,20 +92,24 @@ def test_ridge_rows_matches_per_row_solves(m, n, p, repeats):
         assert np.unique(users).size < m / 2 and np.unique(items).size < n / 2
     gamma = 0.7
     row_ids, col_ids, counts, sums = _compress(users, items, values)
-    got = _ridge_rows(counts, sums, other[col_ids], gamma)
+    got, fit = _ridge_rows(counts, sums, other[col_ids], gamma)
     assert got.shape == (row_ids.size, k)
+    expect_fit = 0.0
     for i, x in zip(row_ids, got):
         mask = users == i
         M = other[items[mask]]
         z = values[mask]
         expect = np.linalg.solve(M.T @ M + gamma * np.eye(k), M.T @ z)
         np.testing.assert_allclose(x, expect, rtol=1e-10, atol=1e-12)
+        expect_fit += float(expect @ (M.T @ z))
+    np.testing.assert_allclose(fit, expect_fit, rtol=1e-10)
 
 
 def test_ridge_rows_handles_empty_input():
     empty = sp.csr_matrix((0, 0))
-    out = _ridge_rows(empty, empty, np.zeros((0, 2)), 1.0)
+    out, fit = _ridge_rows(empty, empty, np.zeros((0, 2)), 1.0)
     assert out.shape == (0, 2)
+    assert fit == 0.0
 
 
 def test_unrated_rows_get_zero_factors():
@@ -104,7 +129,7 @@ def test_half_steps_are_exact_minimizers():
     gamma = 0.3
     row_ids, col_ids, counts, sums = _compress(users, items, values)
     U = np.zeros((10, 2))
-    U[row_ids] = _ridge_rows(counts, sums, V[col_ids], gamma)
+    U[row_ids], _ = _ridge_rows(counts, sums, V[col_ids], gamma)
     # Perturbing any row must not lower the objective.
     def obj(U_):
         r = values - np.einsum("lk,lk->l", U_[users], V[items])
@@ -203,6 +228,16 @@ def test_init_timeline_threads_match_sequential():
     for t in range(seq.N):
         np.testing.assert_array_equal(seq[t].U, par[t].U)
         np.testing.assert_array_equal(seq[t].V, par[t].V)
+
+
+def test_init_timeline_default_matches_one_job(three_cpus):
+    split = timeline_fixture(seed=5, N=5)
+    config = SmootherConfig(k=3, gamma=0.5, seed=11)
+    default = init_timeline(split, config)
+    one = init_timeline(split, config, n_jobs=1)
+    for t in range(one.N):
+        np.testing.assert_array_equal(default[t].U, one[t].U)
+        np.testing.assert_array_equal(default[t].V, one[t].V)
 
 
 @pytest.mark.parametrize("n_jobs", [0, -4])

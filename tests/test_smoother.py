@@ -1,3 +1,4 @@
+import inspect
 from itertools import product
 
 import numpy as np
@@ -26,6 +27,7 @@ from socialdmf import (
     objective_terms,
     random_problem,
 )
+from socialdmf import smoother
 from socialdmf.smoother import block_preconditioner, coarse_correction
 
 import oracles
@@ -140,6 +142,56 @@ def test_coarse_correction_adds_the_all_users_mode(seed, lam, dt, case):
     np.testing.assert_allclose(M, expected, rtol=1e-5, atol=atol)
     np.testing.assert_allclose(M, M.T, rtol=0, atol=atol)
     assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0
+
+
+def _inverse_stack(apply):
+    """The (N, m, 2k, 2k) float32 stack a preconditioner apply reads."""
+    solve = inspect.getclosurevars(apply).nonlocals["solve"]
+    return inspect.getclosurevars(solve).nonlocals["inverses"]
+
+
+def _build_in_chunks(monkeypatch, problem, chunk):
+    monkeypatch.setattr(smoother, "PRECONDITIONER_CHUNK", chunk)
+    return block_preconditioner(problem)
+
+
+def _assert_same_operator(apply, reference, vectors):
+    np.testing.assert_array_equal(_inverse_stack(apply), _inverse_stack(reference))
+    for v in vectors:
+        np.testing.assert_array_equal(apply(v), reference(v))
+
+
+@pytest.mark.parametrize(
+    "lam,dt,case",
+    [*PRECONDITIONER_CASES, pytest.param(0.3, 1.0, "edgeless bin", id="edgeless-bin")],
+)
+def test_chunked_preconditioner_is_bit_identical_to_one_chunk(three_cpus, monkeypatch, lam, dt, case):
+    problem = _edge_case_problem(case, 0, lam, 0.7, dt)
+    whole = _build_in_chunks(monkeypatch, problem, problem.m)
+    # m = 5 users in chunks of at most 3: one of 2 users and one of 3.
+    chunked = _build_in_chunks(monkeypatch, problem, 3)
+    _assert_same_operator(chunked, whole, np.eye(problem.state_size))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("m", [100, 300], ids=["m-below-chunk", "m-not-a-multiple"])
+def test_default_chunks_are_bit_identical_to_one_chunk(three_cpus, monkeypatch, lam, m):
+    base = random_problem(m=m, n=40, k=3, N=4, p_per_bin=4 * m, trust_edges=3 * m, lam=lam, seed=m)
+    # Ratings in no particular order: the build sorts each bin by user.
+    rng = np.random.default_rng(m)
+    bins = []
+    for t in range(base.N):
+        order = rng.permutation(base.train.p(t))
+        bins.append(tuple(a[order] for a in base.train.bin(t)))
+    train = RatingsTimeline(base.m, base.n, bins)
+    problem = SmootherProblem(train, base.factors, base.laplacians, base.config)
+    assert smoother.PRECONDITIONER_CHUNK == 128
+    default = block_preconditioner(problem)
+    whole = _build_in_chunks(monkeypatch, problem, m)
+    odd = _build_in_chunks(monkeypatch, problem, 7)
+    vectors = np.random.default_rng(7).standard_normal((3, problem.state_size))
+    _assert_same_operator(default, whole, vectors)
+    _assert_same_operator(odd, whole, vectors)
 
 
 @pytest.mark.parametrize("seed", range(2))
