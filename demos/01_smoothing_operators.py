@@ -63,9 +63,10 @@ def main():
         )
 
     plain = solve(memory=15)
-    # As run_dynamic solves: preconditioned, with 5 curvature pairs.
+    # As run_dynamic solves: preconditioned, with one curvature pair (more
+    # would not change a preconditioned exact-step solve).
     precondition = coarse_correction(problem, block_preconditioner(problem))
-    result = solve(memory=5, precondition=precondition)
+    result = solve(memory=1, precondition=precondition)
     print(f"optimizer: {result.status} after {result.iterations} iterations "
           f"preconditioned, {plain.iterations} without ({plain.status}), "
           f"f {result.trace[0][1]:.4f} -> {result.f:.6f}")

@@ -146,7 +146,10 @@ def run_dynamic(
     velocities. Item factors stay fixed at their per-bin static estimates.
     L-BFGS is preconditioned with :func:`~socialdmf.smoother.block_preconditioner`
     plus, at ``lam > 0``, its all-users
-    :func:`~socialdmf.smoother.coarse_correction`.
+    :func:`~socialdmf.smoother.coarse_correction`, and keeps one curvature
+    pair: with a fixed preconditioner and exact steps its iterates are, up
+    to rounding, those of preconditioned conjugate gradients whatever the
+    memory, so more pairs would only cost state vectors.
     The result's status is "ok" only when the optimizer converged; otherwise
     it is the optimizer's own status, e.g. "max_iter".
     """
@@ -166,7 +169,7 @@ def run_dynamic(
     result = lbfgs_minimize(
         lambda x: objective_and_gradient(problem, x),
         x0.x,
-        memory=5,
+        memory=1,
         max_iter=config.max_iter,
         grad_tol=config.grad_tol,
         precondition=coarse_correction(problem, block_preconditioner(problem)),

@@ -43,17 +43,6 @@ def _compress(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     return row_ids, col_ids, counts, sums
 
 
-def gram_blocks(counts: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    """Every row's Gram matrix ``sum_c counts[i, c] rows[c] rows[c]'``, as an (m, k, k) stack.
-
-    One sparse product with the table of each column's k*k outer product,
-    so the work is one pass over the nonzeros of ``counts``.
-    """
-    k = rows.shape[1]
-    outer = np.einsum("ck,cl->ckl", rows, rows).reshape(-1, k * k)
-    return (counts @ outer).reshape(-1, k, k)
-
-
 def _ridge_rows(
     counts: sp.csr_matrix,
     values: sp.csr_matrix,
@@ -65,16 +54,19 @@ def _ridge_rows(
     ``counts[i, c]`` is how often row i observed column c and ``values[i, c]``
     the sum of those observations; ``other_rows[c]`` is column c's factor.
     So row i's system is over its observations, and a repeated (row, col)
-    pair counts twice. One sparse product forms every Gram matrix and one
-    batched call solves them.
+    pair counts twice. One sparse product with the table of each column's
+    k*k outer product forms every Gram matrix, in one pass over the
+    nonzeros of ``counts``, and one batched call solves them.
 
     Returns the solutions and ``sum_i x_i' b_i`` over the right-hand sides
     ``b_i = M'z``. At these optima row i's share of the fit term,
     ``1/2 ||z - M x_i||^2 + gamma/2 ||x_i||^2``, is ``1/2 (z'z - x_i' b_i)``,
     so the objective follows without predicting a single rating.
     """
-    G = gram_blocks(counts, other_rows)
-    G += gamma * np.eye(other_rows.shape[1])
+    k = other_rows.shape[1]
+    outer = np.einsum("ck,cl->ckl", other_rows, other_rows).reshape(-1, k * k)
+    G = (counts @ outer).reshape(-1, k, k)
+    G += gamma * np.eye(k)
     b = values @ other_rows
     # The trailing singleton makes b a stack of column vectors, which
     # keeps the batched solve unambiguous across numpy versions.

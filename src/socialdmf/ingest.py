@@ -60,9 +60,12 @@ def _read_table(path, delimiter: str, schema, convert) -> np.ndarray:
 
     ``convert`` maps a row's fields, one per ``schema`` entry and in its
     order, to one record; a row with the wrong field count, or on which
-    ``convert`` raises ValueError or OverflowError, is malformed.
+    ``convert`` raises ValueError or OverflowError, is malformed. Each
+    field of a record goes straight onto its column's list, so no per-row
+    object outlives its line.
     """
-    records = []
+    columns: list[list] = [[] for _ in schema]
+    appends = [column.append for column in columns]
     malformed = 0
     first_bad: list[int] = []
     total = 0
@@ -76,20 +79,39 @@ def _read_table(path, delimiter: str, schema, convert) -> np.ndarray:
             try:
                 if len(fields) != len(schema):
                     raise ValueError("wrong field count")
-                records.append(convert(*fields))
+                record = convert(*fields)
             except (ValueError, OverflowError):
                 malformed += 1
                 if len(first_bad) < 5:
                     first_bad.append(line_no)
+                continue
+            for append, value in zip(appends, record):
+                append(value)
     if total and malformed > total / 2:
         raise DataFormatError(
             f"{path}: {malformed} of {total} rows are malformed (first bad lines: {first_bad})"
         )
     if malformed:
         logger.warning("%s: skipped %d malformed rows of %d", path, malformed, total)
-    by_column = list(zip(*records)) or [()] * len(schema)
-    arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(by_column, schema)]
+    arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(columns, schema)]
     return np.rec.fromarrays(arrays, names=[name for name, _ in schema])
+
+
+def _date_converter(date_format: str):
+    """``_parse_date`` for one file, converting each distinct date string once.
+
+    A string that fails to parse is not remembered, so every row carrying
+    it is malformed.
+    """
+    days: dict[str, int] = {}
+
+    def day_of(token: str) -> int:
+        day = days.get(token)
+        if day is None:
+            day = days[token] = _parse_date(token, date_format)
+        return day
+
+    return day_of
 
 
 def parse_ratings(path, delimiter: str = "\t", date_format: str = "iso") -> np.ndarray:
@@ -102,12 +124,13 @@ def parse_ratings(path, delimiter: str = "\t", date_format: str = "iso") -> np.n
     order. Malformed rows are counted and logged; more than half malformed
     raises :class:`DataFormatError`.
     """
+    day_of = _date_converter(date_format)
 
     def convert(user, item, value, date):
         v = float(value)
         if not math.isfinite(v):
             raise ValueError("non-finite rating")
-        return user, item, v, _parse_date(date, date_format)
+        return user, item, v, day_of(date)
 
     return _read_table(path, delimiter, _RATING_SCHEMA, convert)
 
@@ -122,9 +145,10 @@ def parse_trust(path, delimiter: str = "\t", date_format: str = "iso") -> np.nda
     into one edge at its earliest bin. ``delimiter``, ``date_format`` and
     malformed handling match :func:`parse_ratings`.
     """
+    day_of = _date_converter(date_format)
 
     def convert(a, b, date):
-        return a, b, _parse_date(date, date_format)
+        return a, b, day_of(date)
 
     table = _read_table(path, delimiter, _TRUST_SCHEMA, convert)
     loops = table["user_a"] == table["user_b"]

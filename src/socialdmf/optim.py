@@ -79,7 +79,13 @@ def lbfgs_minimize(
     x0 : ndarray
         Starting point.
     memory : int
-        Number of curvature pairs kept for the two-loop recursion.
+        Number of curvature pairs kept for the two-loop recursion. In exact
+        arithmetic the iterates are those of (preconditioned) conjugate
+        gradients for any memory. A good ``precondition`` converges before
+        rounding can tell memories apart, so there pairs beyond the first
+        change nothing but cost two state vectors each and four vector
+        operations per iteration; a slow unpreconditioned solve can differ
+        by an iteration or two between memories.
     max_iter : int
         Iteration cap.
     grad_tol : float

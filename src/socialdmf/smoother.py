@@ -35,7 +35,6 @@ from .domain import (
     SmootherState,
     process_noise_block,
 )
-from .factorize import _compress, gram_blocks
 from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
 
 # Most users per chunk of block_preconditioner's build and applies: enough to
@@ -284,6 +283,24 @@ def _time_stencil(problem: SmootherProblem) -> tuple[np.ndarray, np.ndarray]:
     return diagonal, -F.T @ q_inv
 
 
+def _spd_inverse(S: np.ndarray) -> np.ndarray:
+    """Inverse of every symmetric positive definite matrix in an (..., n, n) stack.
+
+    With ``S = L L'`` (Cholesky), ``X = L^-1`` by forward substitution, one
+    row of every matrix at a time, and ``S^-1 = X' X``.
+    """
+    L = np.linalg.cholesky(S)
+    n = S.shape[-1]
+    X = np.zeros_like(L)
+    reciprocal = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    X[..., 0, 0] = reciprocal[..., 0]
+    for i in range(1, n):
+        row = np.matmul(L[..., i : i + 1, :i], X[..., :i, :i])[..., 0, :]
+        X[..., i, :i] = row * -reciprocal[..., i, None]
+        X[..., i, i] = reciprocal[..., i]
+    return np.swapaxes(X, -1, -2) @ X
+
+
 def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.ndarray]:
     """``r -> P^-1 r``, P the Hessian without the Laplacians' adjacency entries.
 
@@ -294,18 +311,21 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     deg_t(i) I_k`` on positions, M_it the Gram matrix of user i's bin-t item
     factors; ``kron(-F' Qinv, I_k)`` couples bins t and t+1. At ``lam = 0``
     P is the Hessian. Forward block elimination in time (the information
-    form of the Rauch-Tung-Striebel smoother) stores the inverse Schur
-    complements as one (N, m, 2k, 2k) float32 stack; an apply is a forward
-    and a backward sweep of float64 batched mat-vecs, a fixed symmetric
-    positive definite operator.
+    form of the Rauch-Tung-Striebel smoother) inverts each symmetric
+    positive definite Schur complement through its Cholesky factor and
+    stores the inverses as one (N, m, 2k, 2k) float32 stack; an apply is a
+    forward and a backward sweep of float64 batched mat-vecs, a fixed
+    symmetric positive definite operator.
 
     Users are independent in P, so the build and each apply run in equal
     chunks of at most :data:`PRECONDITIONER_CHUNK` users on the package's
     shared thread pool, and the build's temporaries are bounded by the
-    chunk. The result does not depend on the chunking: ``inv`` and the
-    batched products work matrix by matrix, and OpenBLAS rounds each row of
-    an apply's (users, 2k) products alike in any block but a short one (one
-    row; up to about 30 at k = 20), which equal chunks avoid.
+    chunk: a chunk's Gram matrices are sums of outer products over its
+    slice of each bin's user-sorted ratings. The result does not depend on
+    the chunking: the factorizations and batched products work matrix by
+    matrix, and OpenBLAS rounds each row of an apply's (users, 2k) products
+    alike in any block but a short one (one row; up to about 30 at
+    k = 20), which equal chunks avoid.
     """
     N, m, k = problem.N, problem.m, problem.k
     cfg = problem.config
@@ -315,9 +335,9 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     # Each bin's ratings in user order, so a chunk's ratings are one slice.
     by_user = []
     for t in range(N):
-        users, items, values = problem.train.bin(t)
+        users, items, _ = problem.train.bin(t)
         order = np.argsort(users, kind="stable")
-        by_user.append((users[order], items[order], values[order]))
+        by_user.append((users[order], items[order]))
     count = -(-m // PRECONDITIONER_CHUNK)
     chunks = [slice(m * c // count, m * (c + 1) // count) for c in range(count)]
 
@@ -326,18 +346,18 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     def build(chunk: slice) -> None:
         for t in range(N):
             S = np.repeat(np.kron(diagonal[t], eye)[None], chunk.stop - chunk.start, axis=0)
-            users, items, values = by_user[t]
+            users, items = by_user[t]
             lo, hi = np.searchsorted(users, (chunk.start, chunk.stop))
             if hi > lo:
-                rated, observed, counts, _ = _compress(users[lo:hi], items[lo:hi], values[lo:hi])
-                V = problem.factors[t].V[observed]
-                S[rated - chunk.start, k:, k:] += gram_blocks(counts, V) / cfg.sigma**2
+                V = problem.factors[t].V[items[lo:hi]]
+                first = np.flatnonzero(np.diff(users[lo:hi], prepend=-1))
+                gram = np.add.reduceat(V[:, :, None] * V[:, None, :], first)
+                S[users[lo + first] - chunk.start, k:, k:] += gram / cfg.sigma**2
             if cfg.lam > 0:
                 S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[chunk, None, None] * eye
             if t > 0:
                 S -= coupling.T @ S_inv @ coupling
-            S_inv = np.linalg.inv(S)
-            S_inv = 0.5 * (S_inv + S_inv.transpose(0, 2, 1))
+            S_inv = _spd_inverse(S)
             inverses[t, chunk] = S_inv
 
     parallel_map(build, chunks)

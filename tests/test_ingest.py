@@ -98,6 +98,38 @@ def test_parse_ratings_mostly_malformed_raises(tmp_path):
         parse_ratings(path)
 
 
+def test_repeated_dates_keep_their_days_and_a_bad_date_fails_on_every_line(tmp_path, caplog):
+    # Each distinct date string is converted once per file; a string that
+    # does not parse must not be remembered as good.
+    path = tmp_path / "r.tsv"
+    path.write_text(
+        "u1\ti1\t4.0\t2003-05-15\n"
+        "u2\ti1\t2.0\t2003-02-30\n"
+        "u2\ti2\t3.0\t2003-05-15\n"
+        "u3\ti1\t5.0\t2003-06-01\n"
+        "u3\ti2\t1.0\t2003-02-30\n"
+        "u1\ti2\t2.5\t2003-06-01\n"
+    )
+    with caplog.at_level(logging.WARNING):
+        out = parse_ratings(path)
+    assert out.tolist() == [
+        ("u1", "i1", 4.0, days("2003-05-15")),
+        ("u2", "i2", 3.0, days("2003-05-15")),
+        ("u3", "i1", 5.0, days("2003-06-01")),
+        ("u1", "i2", 2.5, days("2003-06-01")),
+    ]
+    assert any("skipped 2 malformed rows of 6" in rec.message for rec in caplog.records)
+    path.write_text("u1\ti1\t4.0\t2003-05-15\nu2\ti1\t2.0\t2003-02-30\nu3\ti2\t1.0\t2003-02-30\n")
+    with pytest.raises(DataFormatError, match=r"2 of 3 rows are malformed \(first bad lines: \[2, 3\]\)"):
+        parse_ratings(path)
+    path = tmp_path / "t.tsv"
+    path.write_text("a\tb\t2003-02-30\nb\tc\t2003-05-15\nc\ta\t2003-02-30\na\tc\t2003-05-15\n")
+    with caplog.at_level(logging.WARNING):
+        edges = parse_trust(path)
+    assert edges.tolist() == [("b", "c", days("2003-05-15")), ("a", "c", days("2003-05-15"))]
+    assert any("skipped 2 malformed rows of 4" in rec.message for rec in caplog.records)
+
+
 def test_parse_ratings_rejects_non_finite_values(tmp_path):
     path = tmp_path / "r.tsv"
     path.write_text("u1\ti1\tnan\t2003-05-15\nu2\ti1\t4\t2003-05-15\n")

@@ -116,6 +116,15 @@ def test_preconditioner_inverts_the_hessian_without_adjacency(seed, lam, dt, cas
     np.testing.assert_allclose(P_inv, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_spd_inverse_matches_a_general_inverse(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((2, 3, n, n))
+    S = A @ np.swapaxes(A, -1, -2) + n * np.eye(n)
+    expected = np.linalg.inv(S)
+    np.testing.assert_allclose(smoother._spd_inverse(S), expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize(
     "lam,dt,case",
@@ -219,6 +228,42 @@ def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, c
         assert fresh / max(1.0, np.linalg.norm(result.x)) <= grad_tol
         if lam == 0 and grad_tol == 1e-6:
             assert result.iterations <= 2
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "lam,dt,case",
+    [*PRECONDITIONER_CASES, pytest.param(0.3, 1.0, "edgeless bin", id="edgeless-bin")],
+)
+def test_preconditioned_solve_does_not_depend_on_memory(seed, lam, dt, case):
+    # With a fixed preconditioner and exact steps, L-BFGS is preconditioned
+    # CG whatever its memory, so run_dynamic keeps one pair.
+    problem = _edge_case_problem(case, seed, lam, 0.7, dt)
+    operators = [block_preconditioner(problem)]
+    operators.append(coarse_correction(problem, operators[0]))
+    for precondition, grad_tol in product(operators, (1e-6, 1e-10)):
+        runs = []
+        for memory in (1, 5, 20):
+            points = []
+
+            def evaluate(x):
+                points.append(x.copy())
+                return objective_and_gradient(problem, x)
+
+            result = lbfgs_minimize(
+                evaluate,
+                np.zeros(problem.state_size),
+                memory=memory,
+                grad_tol=grad_tol,
+                precondition=precondition,
+            )
+            runs.append((result, points))
+        (first, first_points), *others = runs
+        for result, points in others:
+            assert result.iterations == first.iterations, grad_tol
+            for a, b in zip(points, first_points):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(result.x - first.x) <= 1e-12 * np.linalg.norm(first.x)
 
 
 def test_fused_call_is_bit_identical_to_separate_calls():
