@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .domain import (
     FactorPair,
@@ -287,12 +286,20 @@ class SynthTruth:
 
 
 def _laplacian_spectral_bound(op: LaplacianOperator) -> float:
-    """Largest eigenvalue of L = D - W (dense for small m, Lanczos above)."""
+    """Largest eigenvalue of L = D - W (dense for small m, Lanczos above).
+
+    ``synth_generate`` calls it only when the cheaper degree bound cannot
+    certify its ``eta``. The Lanczos path imports ``scipy.sparse.linalg``
+    here rather than at module level, so a run that never reaches it does
+    not load that subpackage (nor ``scipy.linalg``, which it pulls in).
+    """
     if op.edge_count == 0:
         return 0.0
     L = sp.diags(op.degrees) - op.adjacency
     if op.m <= 400:
         return float(np.linalg.eigvalsh(L.toarray()).max())
+    import scipy.sparse.linalg
+
     val = scipy.sparse.linalg.eigsh(L, k=1, which="LA", return_eigenvectors=False)
     return float(val[0])
 
@@ -335,8 +342,12 @@ def synth_generate(
     of scale ``noise_std``. The final timeline is split per bin with
     ``fraction`` going to train.
 
-    ``eta`` must keep the spectral radius of (I - eta L_t) at or below one;
-    this is checked on the final (largest) graph.
+    ``eta`` must keep the spectral radius of (I - eta L_t) at or below one,
+    that is ``eta * lambda_max(L) <= 2``; this is checked on the final
+    (largest) graph. The degree bound ``max_ij (d_i + d_j) >= lambda_max``
+    is tried first and accepts without an eigenvalue solve; only an
+    ``eta`` it cannot certify is checked against lambda_max itself, so the
+    accept/reject decision is that of the exact check.
     """
     if min(m, n, k, N) < 1:
         raise ValueError("m, n, k, N must all be >= 1")
@@ -354,8 +365,11 @@ def synth_generate(
     creation = rng.integers(0, N, size=len(pairs))
     trust = TrustTimeline(m, N, pairs[:, 0], pairs[:, 1], creation)
 
-    if eta > 0:
-        lam_max = _laplacian_spectral_bound(trust.laplacians[N - 1])
+    # lambda_max(L) <= max over edges ij of d_i + d_j (Anderson & Morley 1985).
+    final = trust.laplacians[N - 1]
+    degree_bound = float((final.degrees[final.rows] + final.degrees[final.cols]).max(initial=0.0))
+    if eta * degree_bound > 2.0 + 1e-12:
+        lam_max = _laplacian_spectral_bound(final)
         if eta * lam_max > 2.0 + 1e-12:
             raise ValueError(
                 f"eta={eta} is too large: eta * lambda_max = {eta * lam_max:.3f} > 2, "

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from ._parallel import parallel_map
@@ -157,13 +156,18 @@ def align_factor_pair(current: FactorPair, reference: FactorPair) -> FactorPair:
     """Rotate ``current`` into ``reference``'s latent frame.
 
     The orthogonal matrix R minimizing ``||V_cur R - V_ref||_F`` is applied
-    to both factors, so the reconstruction U V' is exactly preserved.
+    to both factors, so the reconstruction U V' is exactly preserved. R is
+    the orthogonal Procrustes solution ``R = W Z'`` from the SVD
+    ``V_cur' V_ref = W S Z'`` (Schoenemann 1966), formed as
+    ``scipy.linalg.orthogonal_procrustes`` forms it but through
+    ``np.linalg.svd``, so aligning loads no ``scipy.linalg``.
     """
     if current.V.shape != reference.V.shape:
         raise ValueError(
             f"item factor shapes differ: {current.V.shape} vs {reference.V.shape}"
         )
-    R, _ = scipy.linalg.orthogonal_procrustes(current.V, reference.V)
+    W, _, Zt = np.linalg.svd((reference.V.T @ current.V).T)
+    R = W @ Zt
     return FactorPair(U=current.U @ R, V=current.V @ R)
 
 

@@ -92,7 +92,9 @@ def _read_table(path, delimiter: str, schema, convert) -> np.ndarray:
             f"{path}: {malformed} of {total} rows are malformed (first bad lines: {first_bad})"
         )
     if malformed:
-        logger.warning("%s: skipped %d malformed rows of %d", path, malformed, total)
+        logger.warning(
+            "%s: skipped %d malformed rows of %d (first bad lines: %s)", path, malformed, total, first_bad
+        )
     arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(columns, schema)]
     return np.rec.fromarrays(arrays, names=[name for name, _ in schema])
 

@@ -55,6 +55,26 @@ def _check_pair(f: float, g: np.ndarray) -> None:
         raise NumericalError("objective or gradient is non-finite")
 
 
+def _direction(pairs: deque, g: np.ndarray, precondition) -> np.ndarray:
+    """The L-BFGS direction ``-H g`` by the two-loop recursion over ``pairs``.
+
+    A function of its own so that its loop variables, which name the pairs'
+    vectors, are gone once the direction is returned.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        alphas.append(a)
+        q -= a * y
+    if precondition is not None:
+        q = precondition(q)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * float(y @ q)
+        q += (a - b) * s
+    return np.negative(q, out=q)
+
+
 def lbfgs_minimize(
     evaluate: Evaluate,
     x0: np.ndarray,
@@ -85,7 +105,9 @@ def lbfgs_minimize(
         rounding can tell memories apart, so there pairs beyond the first
         change nothing but cost two state vectors each and four vector
         operations per iteration; a slow unpreconditioned solve can differ
-        by an iteration or two between memories.
+        by an iteration or two between memories. The oldest pair is dropped
+        as soon as the direction is formed, so at most ``memory - 1`` pairs
+        are held while ``evaluate`` runs.
     max_iter : int
         Iteration cap.
     grad_tol : float
@@ -112,26 +134,18 @@ def lbfgs_minimize(
     g = np.array(g, dtype=np.float64)
     gnorm = float(np.linalg.norm(g))
     trace: list[tuple[int, float, float, float]] = [(0, f, gnorm, 0.0)]
-    pairs: deque = deque(maxlen=memory)
+    pairs: deque = deque()
     iteration = 0
 
     def converged() -> bool:
         return gnorm / max(1.0, float(np.linalg.norm(x))) <= grad_tol
 
     while iteration < max_iter and not converged():
-        # Two-loop recursion.
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            a = rho * float(s @ q)
-            alphas.append(a)
-            q -= a * y
-        if precondition is not None:
-            q = precondition(q)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            b = rho * float(y @ q)
-            q += (a - b) * s
-        d = np.negative(q, out=q)
+        d = _direction(pairs, g, precondition)
+        # The oldest pair is read no more once d is formed: drop it now
+        # rather than on append, so it is not held through the evaluation.
+        if len(pairs) == memory:
+            pairs.popleft()
         f_trial, g_trial = evaluate(x + d)
         _check_pair(f_trial, g_trial)
         hd = g_trial - g
@@ -140,11 +154,16 @@ def lbfgs_minimize(
             raise NumericalError(f"curvature d'Hd = {curv:.3e}: not a strictly convex quadratic")
         gd = float(g @ d)
         alpha = -gd / curv
-        s = np.multiply(d, alpha, out=d)
-        y = np.multiply(hd, alpha, out=hd)
-        pairs.append((s, y, 1.0 / (alpha * alpha * curv)))
-        x += s
-        g += y
+        # Scaled in place, d and hd become the pair's step s and gradient
+        # change y. Dropping the names below leaves the pair referenced by
+        # ``pairs`` alone, so popping it frees its vectors, and no trial
+        # gradient is held into the next evaluation.
+        np.multiply(d, alpha, out=d)
+        np.multiply(hd, alpha, out=hd)
+        pairs.append((d, hd, 1.0 / (alpha * alpha * curv)))
+        x += d
+        g += hd
+        del d, hd, g_trial
         f += 0.5 * alpha * gd
         gnorm = float(np.linalg.norm(g))
         iteration += 1

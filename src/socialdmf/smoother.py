@@ -211,6 +211,9 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     rp = _process_residual(problem, x)
     qr = apply_qinv(problem, rp)
     proc = 0.5 * float(rp @ qr)
+    # Each state-sized temporary is dropped once read for the last time, so
+    # the gradient's own temporaries do not stack on top of it.
+    del rp
     if not np.isfinite(proc):
         raise NumericalError("process term is non-finite")
 
@@ -230,6 +233,7 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     grad = apply_measurement_adjoint(problem, rm)
     grad *= 1.0 / sigma2
     grad += apply_process_adjoint(problem, qr)
+    del qr
     if cfg.lam > 0:
         grad_blocks = _blocks(problem, grad)
         for t in range(problem.N):

@@ -127,6 +127,49 @@ def test_synth_rejects_unstable_eta():
         synth_generate(10, 5, 2, 2, 10, 8, eta=1000.0, noise_std=0.1, seed=0)
 
 
+def _lambda_max(trust) -> float:
+    """Largest eigenvalue of the final cumulative Laplacian, densely."""
+    op = trust.laplacians[trust.N - 1]
+    L = np.diag(op.degrees) - op.adjacency.toarray()
+    return float(np.linalg.eigvalsh(L).max()) if op.edge_count else 0.0
+
+
+def _accepts(m, trust_edges, eta, seed):
+    try:
+        synth_generate(m, 6, 2, 3, 20, trust_edges, eta=eta, noise_std=0.1, seed=seed)
+    except ValueError as exc:
+        assert "eta" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("m, trust_edges, seed", [(30, 60, 0), (120, 200, 1), (450, 900, 2), (450, 0, 3)])
+def test_synth_eta_check_decides_as_the_exact_spectral_check(m, trust_edges, seed, monkeypatch):
+    # The edges and the eta check draw on the generator before anything
+    # that reads eta, so an eta of 0 yields the same final graph.
+    _, trust, _ = synth_generate(m, 6, 2, 3, 20, trust_edges, eta=0.0, noise_std=0.1, seed=seed)
+    op = trust.laplacians[trust.N - 1]
+    lam = _lambda_max(trust)
+    if trust_edges == 0:
+        # An edgeless graph has lambda_max 0: every eta is stable.
+        assert _accepts(m, trust_edges, 1e6, seed)
+        return
+    bound = float((op.degrees[op.rows] + op.degrees[op.cols]).max())
+    assert lam <= bound
+    etas = [2.0 / bound, 2.0 / lam * (1 - 1e-6), 2.0 / lam * (1 + 1e-6), 2.0 / bound * (1 + 1e-6), 10.0]
+    for eta in etas:
+        assert _accepts(m, trust_edges, eta, seed) == (eta * lam <= 2.0 + 1e-12), eta
+    # Just inside 2 / lambda_max the degree bound fails but lambda_max
+    # passes, so the eigenvalue is computed; at 2 / bound it is not.
+    assert 2.0 / lam * (1 - 1e-6) * bound > 2.0 + 1e-12
+
+    def no_eigenvalue_solve(op):
+        raise AssertionError("the degree bound should have certified eta")
+
+    monkeypatch.setattr("socialdmf.experiment._laplacian_spectral_bound", no_eigenvalue_solve)
+    assert _accepts(m, trust_edges, 2.0 / bound, seed)
+
+
 def test_synth_rejects_oversampling():
     with pytest.raises(ValueError, match="samples_per_bin"):
         synth_generate(3, 3, 2, 2, 10, 0, eta=0.0, noise_std=0.1, seed=0)

@@ -181,6 +181,20 @@ def test_alignment_recovers_a_planted_rotation():
     np.testing.assert_allclose(aligned.U, U, rtol=1e-9, atol=1e-10)
 
 
+@pytest.mark.parametrize("n, k", [(9, 2), (40, 5), (300, 10), (30, 20)])
+def test_alignment_matches_scipy_orthogonal_procrustes(n, k):
+    import scipy.linalg
+
+    rng = np.random.default_rng(n + k)
+    for _ in range(5):
+        current = FactorPair(U=rng.standard_normal((7, k)), V=rng.standard_normal((n, k)))
+        reference = FactorPair(U=rng.standard_normal((7, k)), V=rng.standard_normal((n, k)))
+        R, _ = scipy.linalg.orthogonal_procrustes(current.V, reference.V)
+        aligned = align_factor_pair(current, reference)
+        np.testing.assert_allclose(aligned.V, current.V @ R, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(aligned.U, current.U @ R, rtol=0, atol=1e-12)
+
+
 def test_alignment_shape_mismatch_rejected():
     a = FactorPair(U=np.zeros((3, 2)), V=np.zeros((4, 2)))
     b = FactorPair(U=np.zeros((3, 2)), V=np.zeros((5, 2)))

@@ -80,6 +80,26 @@ def test_parse_ratings_counts_and_skips_malformed(tmp_path, caplog):
     assert any("2 malformed" in rec.message for rec in caplog.records)
 
 
+def test_skipped_rows_warning_names_the_first_five_bad_lines(tmp_path, caplog):
+    # Six bad rows of fourteen: under half, so the rows are skipped, and the
+    # warning lists the first five bad line numbers. The blank line counts
+    # in the line numbers but not as a row.
+    good = "u1\ti1\t4.0\t2003-05-15\n"
+    bad = "u2\ti2\tnot_a_number\t2003-05-16\n"
+    path = tmp_path / "r.tsv"
+    path.write_text(good + bad + "\n" + (good + bad) * 5 + good * 2)
+    with caplog.at_level(logging.WARNING, logger="socialdmf.ingest"):
+        out = parse_ratings(path)
+    assert len(out) == 8
+    [record] = [rec for rec in caplog.records if "malformed" in rec.msg]
+    assert record.getMessage() == (
+        f"{path}: skipped 6 malformed rows of 14 (first bad lines: [2, 5, 7, 9, 11])"
+    )
+    # The benchmark's parse counter matches this prefix and reads both counts.
+    assert record.msg.startswith("%s: skipped %d malformed rows of %d")
+    assert record.args[1:3] == (6, 14)
+
+
 def test_parse_ratings_mostly_malformed_raises(tmp_path):
     path = tmp_path / "r.tsv"
     path.write_text("a;b;c\nd;e;f\nu1\ti1\t4.0\t2003-05-15\n")

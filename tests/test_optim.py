@@ -1,4 +1,5 @@
 import csv
+import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +86,32 @@ def test_diagonal_preconditioner_cuts_iterations_on_a_badly_scaled_quadratic():
     assert plain.converged and jacobi.converged
     assert jacobi.iterations < plain.iterations
     np.testing.assert_allclose(jacobi.x, np.linalg.solve(A, b), rtol=1e-4, atol=1e-6)
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_evaluation_sees_at_most_memory_minus_one_pairs(memory):
+    # The preconditioner's output becomes the iteration's direction and then
+    # the step s of its curvature pair, so a weak reference to it shows
+    # whether that pair is still held when a later evaluation runs.
+    evaluate, x_star, A, _ = quadratic_problem(30, seed=8, cond=1e3)
+    diagonal = np.diag(A).copy()
+    steps = []
+    held = []
+
+    def precondition(v):
+        out = v / diagonal
+        steps.append(weakref.ref(out))
+        return out
+
+    def counting(x):
+        held.append(sum(ref() is not None for ref in steps[:-1]))
+        return evaluate(x)
+
+    result = lbfgs_minimize(counting, np.zeros(30), memory=memory, max_iter=200,
+                            grad_tol=1e-10, precondition=precondition)
+    assert result.converged and result.iterations > 2 * memory
+    assert max(held) == memory - 1
+    np.testing.assert_allclose(result.x, x_star, rtol=1e-6, atol=1e-8)
 
 
 def test_zero_curvature_raises():
