@@ -60,8 +60,10 @@ class RatingsTimeline:
                     raise ValueError(f"bin {t}: item index out of range [0, {n})")
                 if not np.all(np.isfinite(values)):
                     raise ValueError(f"bin {t}: non-finite rating value")
+                # Bins sorted by (user, item) have strictly increasing keys,
+                # an O(p) test; only other orders pay for the sort.
                 keys = users * self.n + items
-                if np.unique(keys).size != keys.size:
+                if not np.all(keys[1:] > keys[:-1]) and np.unique(keys).size != keys.size:
                     raise ValueError(f"bin {t}: duplicate (user, item) pair")
             self.users.append(users)
             self.items.append(items)

@@ -132,6 +132,14 @@ def run_static(
     )
 
 
+def _warm_start(factors: FactorTimeline) -> np.ndarray:
+    """The flat smoother state with the static factors as positions and zero velocities."""
+    blocks = np.zeros((factors.N, 2, factors.m, factors.k))
+    for t, pair in enumerate(factors):
+        blocks[t, 1] = pair.U
+    return blocks.reshape(-1)
+
+
 def run_dynamic(
     split: SplitTimeline,
     trust: Optional[TrustTimeline],
@@ -163,11 +171,11 @@ def run_dynamic(
         laplacians = build_timeline_laplacians(trust)
     problem = SmootherProblem(split.train, factors, laplacians, effective)
 
-    x0 = SmootherState(x=np.zeros(problem.state_size), N=factors.N, m=factors.m, k=config.k)
-    x0.blocks[:, 1] = [pair.U for pair in factors]
+    # The warm start is built in the call, so no local here holds it through
+    # the solve; lbfgs_minimize drops it once copied.
     result = lbfgs_minimize(
         lambda x: objective_and_gradient(problem, x),
-        x0.x,
+        _warm_start(factors),
         memory=1,
         max_iter=config.max_iter,
         grad_tol=config.grad_tol,
@@ -305,13 +313,45 @@ def _laplacian_spectral_bound(op: LaplacianOperator) -> float:
 
 
 def _random_edges(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
-    """``count`` distinct random edges (i < j) among ``m`` users, sorted, as a (count, 2) array."""
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < count:
-        a, b = rng.integers(0, m, size=2)
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    """``count`` distinct random edges (i < j) among ``m`` users, sorted, as a (count, 2) array.
+
+    The edges are the first ``count`` distinct unordered pairs, self-loops
+    skipped, of the pair stream ``rng.integers(0, m, size=2)``, drawn one
+    pair at a time; ``rng`` is left just past the pair that completes them.
+    Both the edges and the generator's final state are bit-identical to that
+    loop, but the pairs are drawn in batches and deduplicated with
+    ``np.unique``. This holds because ``Generator.integers`` draws each
+    bounded value from the bit generator's 32-bit outputs in order (Lemire's
+    rejection method), and the bit generator keeps the unused half of a
+    64-bit output in its own state: one request for ``2 s`` values consumes
+    the same stream as ``s`` requests for two. So the batch is drawn from a
+    saved state, its first ``count`` distinct pairs located, and the state
+    restored to redraw exactly the pairs the loop would have consumed. A
+    batch that falls short, as on a near-complete graph, is extended with
+    batches of twice the size.
+    """
+    if count == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    saved = rng.bit_generator.state
+    keys = np.empty(0, dtype=np.int64)
+    batch = count + count // 4 + 16
+    while True:
+        a, b = rng.integers(0, m, size=(batch, 2)).T
+        drawn = np.where(a == b, -1, np.minimum(a, b) * m + np.maximum(a, b))
+        keys = np.concatenate([keys, drawn])
+        # return_index gives each key's first occurrence, in draw order.
+        distinct, first = np.unique(keys, return_index=True)
+        if distinct[0] == -1:
+            distinct, first = distinct[1:], first[1:]
+        if distinct.size >= count:
+            break
+        batch *= 2
+    # The loop stops at the pair that completes ``count`` distinct edges.
+    last = np.partition(first, count - 1)[count - 1]
+    rng.bit_generator.state = saved
+    rng.integers(0, m, size=(last + 1, 2))
+    edges = distinct[first <= last]
+    return np.stack([edges // m, edges % m], axis=1)
 
 
 def synth_generate(

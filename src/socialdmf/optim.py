@@ -127,6 +127,9 @@ def lbfgs_minimize(
     if memory < 1 or max_iter < 1 or not grad_tol > 0:
         raise ValueError("memory and max_iter must be >= 1 and grad_tol positive")
     x = np.array(x0, dtype=np.float64)
+    # Not read again: where the caller keeps no reference of its own, the
+    # starting point is freed here rather than held through the solve.
+    del x0
     if x.ndim != 1:
         raise ValueError("x0 must be a flat vector")
     f, g = evaluate(x)

@@ -120,6 +120,8 @@ def test_ratings_timeline_basics():
         ([5], [0], [1.0]),  # user out of range
         ([0], [9], [1.0]),  # item out of range
         ([0], [0], [np.nan]),  # non-finite value
+        ([0, 1, 1, 2], [3, 0, 0, 1], [1.0] * 4),  # duplicate pair, bin sorted by (user, item)
+        ([2, 1, 0, 1], [1, 0, 3, 0], [1.0] * 4),  # duplicate pair, bin not sorted
     ],
 )
 def test_ratings_timeline_rejects_bad_bins(bad_bin):

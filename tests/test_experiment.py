@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import logging
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from socialdmf import (
     synth_generate,
     write_results_csv,
 )
+from socialdmf import experiment
+from socialdmf.smoother import objective_and_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +174,71 @@ def test_synth_eta_check_decides_as_the_exact_spectral_check(m, trust_edges, see
     assert _accepts(m, trust_edges, 2.0 / bound, seed)
 
 
+def _edges_pair_at_a_time(rng, m, count):
+    """The reference: one two-value draw and one set insert per pair."""
+    edges = set()
+    while len(edges) < count:
+        a, b = rng.integers(0, m, size=2)
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def _assert_same_edges_and_stream(m, count, seed):
+    batched_rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    batched = experiment._random_edges(batched_rng, m, count)
+    reference = _edges_pair_at_a_time(reference_rng, m, count)
+    assert batched.dtype == reference.dtype == np.int64
+    assert batched.shape == (count, 2)
+    np.testing.assert_array_equal(batched, reference)
+    assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m, count", [(1000, 8000), (500, 1500), (22164, 5000), (2, 1)])
+def test_random_edges_match_the_pair_at_a_time_draw(m, count):
+    for seed in range(40):
+        _assert_same_edges_and_stream(m, count, seed)
+
+
+def test_random_edges_of_a_complete_graph_match_the_pair_at_a_time_draw():
+    # The first batch falls short on a complete graph, so these extend it.
+    for m in range(2, 41):
+        _assert_same_edges_and_stream(m, m * (m - 1) // 2, seed=m)
+
+
+def test_no_random_edges_draw_nothing():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    edges = experiment._random_edges(rng, 10, 0)
+    assert edges.shape == (0, 2) and edges.dtype == np.int64
+    assert rng.bit_generator.state == before
+
+
+def test_random_problem_and_synth_match_the_pair_at_a_time_edges(monkeypatch):
+    # random_problem clamps the edge count to the complete graph; synth
+    # draws its creation bins and factors after the edges, so it also sees
+    # where the edges leave the generator.
+    problem = random_problem(m=8, n=6, k=2, N=3, p_per_bin=12, trust_edges=100, lam=0.1, seed=3)
+    synth = synth_generate(30, 8, 2, 3, 40, 60, eta=0.05, noise_std=0.1, seed=4)
+    monkeypatch.setattr(experiment, "_random_edges", _edges_pair_at_a_time)
+    reference_problem = random_problem(m=8, n=6, k=2, N=3, p_per_bin=12, trust_edges=100,
+                                       lam=0.1, seed=3)
+    reference_synth = synth_generate(30, 8, 2, 3, 40, 60, eta=0.05, noise_std=0.1, seed=4)
+    for op, ref in zip(problem.laplacians, reference_problem.laplacians):
+        assert op.edge_count == 28
+        np.testing.assert_array_equal(op.rows, ref.rows)
+        np.testing.assert_array_equal(op.cols, ref.cols)
+    (split, trust, truth), (ref_split, ref_trust, ref_truth) = synth, reference_synth
+    for name in ("rows", "cols", "created"):
+        np.testing.assert_array_equal(getattr(trust, name), getattr(ref_trust, name))
+    for t in range(3):
+        for got, want in zip(split.train.bin(t) + split.test.bin(t),
+                             ref_split.train.bin(t) + ref_split.test.bin(t)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(truth.positions[t], ref_truth.positions[t])
+
+
 def test_synth_rejects_oversampling():
     with pytest.raises(ValueError, match="samples_per_bin"):
         synth_generate(3, 3, 2, 2, 10, 0, eta=0.0, noise_std=0.1, seed=0)
@@ -220,6 +289,30 @@ def test_run_dynamic_keeps_item_factors_fixed(small_synth):
     for t in range(factors.N):
         np.testing.assert_array_equal(result.factors[t].V, factors[t].V)
         assert not np.array_equal(result.factors[t].U, factors[t].U)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 the caller's stack holds a call's arguments")
+def test_run_dynamic_frees_its_warm_start_once_copied(small_synth, monkeypatch):
+    split, trust, _ = small_synth
+    build = experiment._warm_start
+    starts = []
+    alive = []
+
+    def warm_start(factors):
+        x0 = build(factors)
+        starts.append(weakref.ref(x0))
+        return x0
+
+    def objective(problem, x):
+        alive.append(starts[0]() is not None)
+        return objective_and_gradient(problem, x)
+
+    monkeypatch.setattr(experiment, "_warm_start", warm_start)
+    monkeypatch.setattr(experiment, "objective_and_gradient", objective)
+    result = run_dynamic(split, trust, SmootherConfig(k=2, gamma=0.5, seed=0), lam=0.1)
+    assert result.status == "ok" and len(alive) == result.iterations + 1
+    assert not any(alive)
 
 
 def test_run_dynamic_requires_trust_for_social(small_synth):
