@@ -9,10 +9,9 @@ bin ``#{cutoffs <= tau}``, so ``len(cutoffs) + 1`` bins cover the whole line.
 Trust graphs are binary and cumulative: an undirected edge enters at the bin
 of its earliest sighting and persists in every later bin.
 
-The canonical on-disk dataset is a directory of sorted text files
-(ratings_bin_<t>.tsv, trust_bin_<t>.tsv, users.map, items.map, meta.txt),
-written deterministically so that two runs over the same inputs diff clean.
-Each trust edge is written once, in the file of its creation bin.
+The canonical on-disk dataset is a directory of three ``.npy`` arrays and
+three text files (see :func:`save_dataset`), written deterministically so
+that equal inputs give equal bytes. The older per-bin TSV layout is not read.
 """
 
 from __future__ import annotations
@@ -294,9 +293,10 @@ def save_dataset(
 ) -> None:
     """Write the canonical binned dataset directory.
 
-    Layout: ratings_bin_<t>.tsv (user, item, value on dense indices, sorted),
-    trust_bin_<t>.tsv (the edges a < b created in bin t, sorted), users.map
-    and items.map (id to index), meta.txt (m, n, N, per-bin counts).
+    Layout: ratings_index.npy (int64 (2, P): users, items; bins in time order,
+    each sorted by (user, item)), ratings_value.npy (float64 (P,)), trust.npy
+    (int64 (3, E): a < b, creation bin; each edge once, sorted by (created, a,
+    b)), users.map, items.map (id, tab, index), meta.txt (m, n, N, counts p=).
     """
     if ratings.N != trust.N or ratings.m != trust.m:
         raise ValueError("ratings and trust timelines disagree on (m, N)")
@@ -306,17 +306,13 @@ def save_dataset(
         with open(directory / name, "w", encoding="utf-8") as fh:
             for key, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
                 fh.write(f"{key}\t{idx}\n")
-    bounds = np.searchsorted(trust.created, np.arange(ratings.N + 1))
-    for t in range(ratings.N):
-        users, items, values = ratings.bin(t)
-        order = np.lexsort((items, users))
-        columns = (users[order].tolist(), items[order].tolist(), values[order].tolist())
-        with open(directory / f"ratings_bin_{t}.tsv", "w") as fh:
-            fh.write("".join(f"{u}\t{i}\t{v:.17g}\n" for u, i, v in zip(*columns)))
-        new = slice(bounds[t], bounds[t + 1])
-        pairs = zip(trust.rows[new].tolist(), trust.cols[new].tolist())
-        with open(directory / f"trust_bin_{t}.tsv", "w") as fh:
-            fh.write("".join(f"{a}\t{b}\n" for a, b in pairs))
+    users, items, values = (np.concatenate(c) for c in (ratings.users, ratings.items, ratings.values))
+    # (bin, user, item) keys are distinct; a stable sort is O(P) on ingest's already sorted bins.
+    bins = np.repeat(np.arange(ratings.N), ratings.counts)
+    order = np.argsort((bins * ratings.m + users) * ratings.n + items, kind="stable")
+    np.save(directory / "ratings_index.npy", np.stack([users[order], items[order]]))
+    np.save(directory / "ratings_value.npy", values[order])
+    np.save(directory / "trust.npy", np.stack([trust.rows, trust.cols, trust.created]))
     with open(directory / "meta.txt", "w") as fh:
         fh.write(f"m={ratings.m}\n")
         fh.write(f"n={ratings.n}\n")
@@ -324,14 +320,44 @@ def save_dataset(
         fh.write("p=" + ",".join(str(c) for c in ratings.counts) + "\n")
 
 
+def _load_array(path: Path, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """Read one .npy array, never unpickling; check ``dtype`` and ``shape`` (-1: any length)."""
+    try:
+        with open(path, "rb") as fh:
+            array = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise DataFormatError(f"{path} not found; TSV datasets are no longer read, re-run ingest or synth")
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    wrong_shape = array.ndim != len(shape) or any(w not in (-1, a) for w, a in zip(shape, array.shape))
+    if array.dtype != dtype or wrong_shape:
+        raise DataFormatError(
+            f"{path}: holds {array.dtype} of shape {array.shape}, expected {np.dtype(dtype)} of shape {shape}"
+        )
+    return array
+
+
+def _read_map(path: Path, size: int) -> dict[str, int]:
+    """Read an id map, which must send ``size`` distinct ids onto ``0..size-1``."""
+    lines = [line.rpartition("\t") for line in path.read_text(encoding="utf-8").split("\n") if line]
+    try:
+        mapping = {key: int(idx) for key, _, idx in lines}
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    if len(mapping) != len(lines) or sorted(mapping.values()) != list(range(size)):
+        raise DataFormatError(f"{path}: does not map {size} distinct ids onto 0..{size - 1}")
+    return mapping
+
+
 def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, int], dict[str, int]]:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    Each pair in trust_bin_<t>.tsv is an edge created in bin t at the
-    latest, so bin t's graph is the union of files 0..t; a directory whose
-    trust files are cumulative loads to the same graphs. A row that does not
-    parse, a file with the wrong number of columns, or a trust pair with an
-    endpoint outside ``[0, m)`` or a self-loop, raises
+    Never unpickles; each bin's arrays are views of the loaded ones. An edge
+    listed again in trust.npy, in either order, keeps its earliest bin. A
+    wrong dtype or shape, counts that disagree with meta.txt, an index out of
+    range, a self-loop, a creation bin outside ``[0, N)``, a non-finite or
+    repeated rating, a map not sending m (resp. n) distinct ids onto the
+    indices, or a missing array (as in the old TSV layout) raises
     :class:`DataFormatError` naming its file.
     """
     directory = Path(directory)
@@ -348,50 +374,23 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
         counts = [int(c) for c in meta["p"].split(",")]
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{meta_path}: bad metadata ({exc})")
-    if len(counts) != N:
-        raise DataFormatError(f"{meta_path}: p= lists {len(counts)} counts for N={N} bins")
-
-    def read_map(name):
-        mapping: dict[str, int] = {}
-        with open(directory / name, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                key, _, idx = line.rpartition("\t")
-                mapping[key] = int(idx)
-        return mapping
-
-    user_map = read_map("users.map")
-    item_map = read_map("items.map")
-
-    def read_rows(path, width, dtype):
-        if not path.stat().st_size:
-            return np.empty((0, width), dtype=dtype)
-        try:
-            data = np.loadtxt(path, delimiter="\t", dtype=dtype, ndmin=2)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-        if data.shape[1] != width:
-            raise DataFormatError(f"{path}: has {data.shape[1]} columns, expected {width}")
-        return data
-
-    bins = []
-    pairs = []
-    for t in range(N):
-        path = directory / f"ratings_bin_{t}.tsv"
-        data = read_rows(path, 3, np.float64)
-        if data.shape[0] != counts[t]:
-            raise DataFormatError(f"{path}: has {data.shape[0]} rows, meta.txt says {counts[t]}")
-        bins.append((data[:, 0].astype(np.int64), data[:, 1].astype(np.int64), data[:, 2]))
-        path = directory / f"trust_bin_{t}.tsv"
-        edges = read_rows(path, 2, np.int64)
-        if edges.size and (edges.min() < 0 or edges.max() >= m):
-            raise DataFormatError(f"{path}: user index out of range [0, {m})")
-        if np.any(edges[:, 0] == edges[:, 1]):
-            raise DataFormatError(f"{path}: self-loop edge")
-        pairs.append(edges)
-    created = np.repeat(np.arange(N), [len(p) for p in pairs])
-    edges = np.concatenate(pairs)
-    trust = TrustTimeline(m, N, edges[:, 0], edges[:, 1], created)
-    return RatingsTimeline(m, n, bins), trust, user_map, item_map
+    if len(counts) != N or min(counts) < 0 or min(m, n) < 1:
+        raise DataFormatError(f"{meta_path}: p= lists {counts} for N={N} bins (m={m}, n={n})")
+    user_map, item_map = _read_map(directory / "users.map", m), _read_map(directory / "items.map", n)
+    index_path, trust_path = directory / "ratings_index.npy", directory / "trust.npy"
+    index = _load_array(index_path, np.int64, (2, sum(counts)))
+    values = _load_array(directory / "ratings_value.npy", np.float64, (sum(counts),))
+    edges = _load_array(trust_path, np.int64, (3, -1))
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"{directory / 'ratings_value.npy'}: non-finite rating value")
+    bounds = np.cumsum([0] + counts)
+    bins = [(index[0, a:b], index[1, a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    try:
+        ratings = RatingsTimeline(m, n, bins)
+    except ValueError as exc:
+        raise DataFormatError(f"{index_path}: {exc}") from exc
+    try:
+        trust = TrustTimeline(m, N, *edges)
+    except ValueError as exc:
+        raise DataFormatError(f"{trust_path}: {exc}") from exc
+    return ratings, trust, user_map, item_map

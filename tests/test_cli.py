@@ -371,20 +371,23 @@ def test_evaluate_on_a_wrong_length_count_list_exits_2(synth_dataset, tmp_path, 
 
 
 def test_evaluate_names_a_trust_file_with_an_out_of_range_user(synth_dataset, tmp_path, capsys):
-    path = synth_dataset / "trust_bin_1.tsv"
-    path.write_text(path.read_text() + "0\t15\n")  # the dataset has users 0..14
+    path = synth_dataset / "trust.npy"
+    edges = np.load(path)
+    np.save(path, np.concatenate([edges, [[0], [15], [1]]], axis=1))  # the dataset has users 0..14
     rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(tmp_path / "f")])
     assert rc == 2
-    assert f"{path}: user index out of range [0, 15)" in capsys.readouterr().err
+    assert f"{path}: edge endpoint out of range [0, 15)" in capsys.readouterr().err
 
 
 def test_evaluate_names_a_ratings_file_with_two_columns(synth_dataset, tmp_path, capsys):
-    path = synth_dataset / "ratings_bin_0.tsv"
-    path.write_text("".join(line.rpartition("\t")[0] + "\n" for line in path.read_text().splitlines()))
+    # Ratings stored one per row, (user, item) pairs, instead of as two index rows.
+    path = synth_dataset / "ratings_index.npy"
+    np.save(path, np.load(path).T.copy())
     rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(tmp_path / "f")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{path}: has 2 columns, expected 3" in err and "Traceback" not in err
+    assert f"{path}: holds int64 of shape (120, 2), expected int64 of shape (2, 120)" in err
+    assert "Traceback" not in err
 
 
 def test_ingest_writes_a_repeated_edge_once(tmp_path, capsys):
@@ -397,8 +400,8 @@ def test_ingest_writes_a_repeated_edge_once(tmp_path, capsys):
     ])
     assert rc == 0
     assert kv(out_lines(capsys))["edges"] == "2"
-    assert (out / "trust_bin_0.tsv").read_text() == "0\t1\n"
-    assert (out / "trust_bin_1.tsv").read_text() == "1\t2\n"
+    # Rows a, b, created: edge 0-1 in bin 0 and edge 1-2 in bin 1, each once.
+    np.testing.assert_array_equal(np.load(out / "trust.npy"), [[0, 1], [1, 2], [0, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from socialdmf import (
     DataFormatError,
     RatingsTimeline,
+    TrustTimeline,
     bin_timelines,
     filter_min_ratings,
     load_dataset,
@@ -491,7 +492,11 @@ def test_save_dataset_is_byte_stable(tmp_path):
     )
     save_dataset(tmp_path / "a", ratings, trust, user_map, item_map)
     save_dataset(tmp_path / "b", ratings, trust, user_map, item_map)
-    for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == [
+        "items.map", "meta.txt", "ratings_index.npy", "ratings_value.npy", "trust.npy", "users.map",
+    ]
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -500,7 +505,8 @@ def test_load_dataset_rejects_count_mismatch(tmp_path):
     save_dataset(tmp_path / "d", ratings, trust, user_map, item_map)
     meta = (tmp_path / "d" / "meta.txt").read_text().replace("p=2", "p=3")
     (tmp_path / "d" / "meta.txt").write_text(meta)
-    with pytest.raises(DataFormatError, match="meta.txt says"):
+    # meta.txt now sums to one rating more than the arrays hold.
+    with pytest.raises(DataFormatError, match=r"ratings_index.npy: .* expected int64 of shape \(2, 7\)"):
         load_dataset(tmp_path / "d")
 
 
@@ -521,17 +527,22 @@ def _saved_fixture(directory):
 
 def test_save_dataset_writes_each_edge_in_exactly_one_file(tmp_path):
     _, trust, _, _ = _saved_fixture(tmp_path / "d")
-    files = [(tmp_path / "d" / f"trust_bin_{t}.tsv").read_text() for t in range(trust.N)]
-    assert files == ["0\t1\n", "0\t2\n1\t2\n", ""]
-    lines = [line for text in files for line in text.splitlines()]
-    assert len(lines) == len(set(lines)) == trust.edge_count(trust.N - 1)
+    stored = np.load(tmp_path / "d" / "trust.npy")
+    # Rows a, b, created: each edge once, a < b, sorted by (created, a, b).
+    np.testing.assert_array_equal(stored, [[0, 0, 1], [1, 2, 2], [0, 1, 1]])
+    assert stored.shape[1] == trust.edge_count(trust.N - 1)
+
+
+def _add_edges(directory, *edges):
+    """Append (a, b, created) columns to a saved dataset's trust.npy."""
+    path = directory / "trust.npy"
+    np.save(path, np.concatenate([np.load(path), np.array(edges, dtype=np.int64).T], axis=1))
 
 
 def test_load_dataset_takes_each_bin_as_the_union_of_files(tmp_path):
-    # An edge listed again in a later file, even reversed, keeps its first bin;
-    # a later file that omits an earlier edge does not remove it.
+    # An edge stored again with a later bin, even reversed, keeps its first bin.
     _, trust, _, _ = _saved_fixture(tmp_path / "d")
-    (tmp_path / "d" / "trust_bin_2.tsv").write_text("2\t0\n")
+    _add_edges(tmp_path / "d", (2, 0, 2), (1, 0, 2))
     _, loaded, _, _ = load_dataset(tmp_path / "d")
     for t in range(trust.N):
         assert (loaded.graph(t) != trust.graph(t)).nnz == 0
@@ -539,17 +550,17 @@ def test_load_dataset_takes_each_bin_as_the_union_of_files(tmp_path):
 
 
 def test_load_dataset_reads_cumulative_trust_files(tmp_path):
-    """Directories whose trust_bin_<t>.tsv lists every edge up to bin t load
-    to the same graphs as the one-file-per-edge layout."""
+    """A trust.npy that lists every edge again in each later bin, as a
+    cumulative per-bin edge list would, loads to the same graphs."""
     _, trust, _, _ = _saved_fixture(tmp_path / "d")
-    for t in range(trust.N):
-        rows, cols = trust.edges(t)
-        order = np.lexsort((cols, rows))
-        lines = "".join(f"{rows[e]}\t{cols[e]}\n" for e in order)
-        (tmp_path / "d" / f"trust_bin_{t}.tsv").write_text(lines)
-    assert (tmp_path / "d" / "trust_bin_2.tsv").read_text() == "0\t1\n0\t2\n1\t2\n"
+    _add_edges(
+        tmp_path / "d",
+        *[(b, a, t) for t in range(1, trust.N) for a, b in zip(*trust.edges(t))],
+    )
+    assert np.load(tmp_path / "d" / "trust.npy").shape == (3, 3 + 3 + 3)
     _, loaded, _, _ = load_dataset(tmp_path / "d")
     assert loaded.N == trust.N
+    np.testing.assert_array_equal(loaded.created, trust.created)
     for t in range(trust.N):
         assert (loaded.graph(t) != trust.graph(t)).nnz == 0
         np.testing.assert_array_equal(loaded.laplacians[t].degrees, trust.laplacians[t].degrees)
@@ -557,11 +568,14 @@ def test_load_dataset_reads_cumulative_trust_files(tmp_path):
 
 @pytest.mark.parametrize("line", ["0\t3\n", "-1\t0\n", "1\t1\n", "0\tx\n"])
 def test_load_dataset_names_a_trust_file_with_a_bad_pair(tmp_path, line):
-    # The fixture has users 0..2: endpoints above and below that range, a self-loop, a non-integer.
+    # The fixture has users 0..2: endpoints above and below that range, a
+    # self-loop, and a non-integer (stored as text, so trust.npy has the wrong dtype).
     _saved_fixture(tmp_path / "d")
-    path = tmp_path / "d" / "trust_bin_1.tsv"
-    path.write_text(path.read_text() + line)
-    with pytest.raises(DataFormatError, match="trust_bin_1.tsv"):
+    path = tmp_path / "d" / "trust.npy"
+    pair = np.array(line.split() + ["1"])[:, None]  # created in bin 1
+    bad = np.concatenate([np.load(path).astype(str), pair], axis=1)
+    np.save(path, bad if "x" in line else bad.astype(np.int64))
+    with pytest.raises(DataFormatError, match="trust.npy"):
         load_dataset(tmp_path / "d")
 
 
@@ -574,3 +588,94 @@ def test_load_dataset_requires_one_count_per_bin(tmp_path, counts):
     meta.write_text(text.replace("p=2,2,2", f"p={counts}"))
     with pytest.raises(DataFormatError, match="meta.txt"):
         load_dataset(tmp_path / "d")
+
+
+def test_load_dataset_rejects_an_old_tsv_directory(tmp_path):
+    """A directory in the per-bin TSV layout is refused, with the way out."""
+    _saved_fixture(tmp_path / "d")
+    for name in ("ratings_index.npy", "ratings_value.npy", "trust.npy"):
+        (tmp_path / "d" / name).unlink()
+    for t in range(3):
+        (tmp_path / "d" / f"ratings_bin_{t}.tsv").write_text("0\t0\t3\n1\t1\t4\n")
+        (tmp_path / "d" / f"trust_bin_{t}.tsv").write_text("")
+    with pytest.raises(DataFormatError, match=r"ratings_index.npy not found.*re-run ingest or synth"):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("name", ["ratings_index.npy", "ratings_value.npy", "trust.npy"])
+def test_load_dataset_never_unpickles(tmp_path, name):
+    _saved_fixture(tmp_path / "d")
+    path = tmp_path / "d" / name
+    np.save(path, np.load(path).astype(object), allow_pickle=True)
+    with pytest.raises(DataFormatError, match=f"{name}: .*allow_pickle=False"):
+        load_dataset(tmp_path / "d")
+
+
+def _set(array, where, value):
+    array = array.copy()
+    array[where] = value
+    return array
+
+
+# The fixture has 3 users, 2 items, 3 bins and 6 ratings.
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("ratings_index.npy", lambda a: a.astype(np.int32), r"holds int32 of shape \(2, 6\)"),
+        ("ratings_index.npy", lambda a: a[:, :5], r"expected int64 of shape \(2, 6\)"),
+        ("ratings_index.npy", lambda a: _set(a, (0, 0), 3), "user index out of range"),
+        ("ratings_index.npy", lambda a: _set(a, (1, 0), 2), "item index out of range"),
+        ("ratings_index.npy", lambda a: a[:, [0, 0, 2, 3, 4, 5]], r"duplicate \(user, item\) pair"),
+        ("ratings_value.npy", lambda v: _set(v, 0, np.nan), "non-finite rating value"),
+        ("ratings_value.npy", lambda v: v[:, None], r"holds float64 of shape \(6, 1\)"),
+        ("trust.npy", lambda e: e[:2], r"expected int64 of shape \(3, -1\)"),
+        ("trust.npy", lambda e: _set(e, (2, -1), 3), "creation bin out of range"),
+    ],
+)
+def test_load_dataset_names_the_file_of_each_defect(tmp_path, name, corrupt, message):
+    _saved_fixture(tmp_path / "d")
+    path = tmp_path / "d" / name
+    np.save(path, corrupt(np.load(path)))
+    with pytest.raises(DataFormatError, match=f"{name}: .*{message}"):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize(
+    "name, lines",
+    [
+        ("users.map", ["alice\t0", "bob\t1"]),  # truncated
+        ("users.map", ["alice\t0", "bob\t1", "bob\t2"]),  # an id given twice
+        ("users.map", ["alice\t0", "bob\t1", "carol\t3"]),  # an index outside 0..m-1
+        ("items.map", ["itemA\t0", "itemB\t0"]),  # two ids on one index
+        ("items.map", ["itemA\t0", "itemB\tx"]),  # not an index
+    ],
+)
+def test_load_dataset_checks_the_id_maps(tmp_path, name, lines):
+    _saved_fixture(tmp_path / "d")
+    (tmp_path / "d" / name).write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(DataFormatError, match=name):
+        load_dataset(tmp_path / "d")
+
+
+def test_dataset_round_trip_with_an_empty_bin_and_no_edges(tmp_path):
+    ratings = RatingsTimeline(2, 2, [([1, 0], [0, 1], [4.0, 2.5]), ([], [], []), ([1], [1], [3.0])])
+    trust = TrustTimeline(2, 3, [], [], [])
+    user_map, item_map = {"u": 0, "v": 1}, {"a": 0, "b": 1}
+    save_dataset(tmp_path / "d", ratings, trust, user_map, item_map)
+    assert np.load(tmp_path / "d" / "trust.npy").shape == (3, 0)
+    loaded, loaded_trust, u2, i2 = load_dataset(tmp_path / "d")
+    assert loaded.counts == [2, 0, 1] and (u2, i2) == (user_map, item_map)
+    # Bins are stored sorted by (user, item).
+    np.testing.assert_array_equal(loaded.users[0], [0, 1])
+    np.testing.assert_array_equal(loaded.values[0], [2.5, 4.0])
+    np.testing.assert_array_equal(loaded.bin(2)[2], [3.0])
+    assert [loaded_trust.edge_count(t) for t in range(3)] == [0, 0, 0]
+
+
+def test_loaded_bins_are_views_of_the_stored_arrays(tmp_path):
+    _saved_fixture(tmp_path / "d")
+    ratings, _, _, _ = load_dataset(tmp_path / "d")
+    index, values = ratings.users[0].base, ratings.values[0].base
+    assert index is not None and values is not None
+    assert all(a.base is index for a in ratings.users + ratings.items)
+    assert all(v.base is values for v in ratings.values)
