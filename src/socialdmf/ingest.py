@@ -19,7 +19,9 @@ from __future__ import annotations
 import datetime
 import logging
 import math
+import re
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -35,6 +37,10 @@ _RATING_SCHEMA = (
     ("user_id", str), ("item_id", str), ("value", np.float64), ("timestamp", np.int64)
 )
 _TRUST_SCHEMA = (("user_a", str), ("user_b", str), ("timestamp", np.int64))
+
+# Lines the parsers read and convert at once: enough to make the per-block
+# work negligible, few enough that one block's tokens take a few MB.
+_BLOCK_LINES = 1 << 13
 
 
 class DataFormatError(ValueError):
@@ -54,38 +60,61 @@ def _parse_date(token: str, date_format: str) -> int:
     return (day - _EPOCH).days
 
 
-def _read_table(path, delimiter: str, schema, convert) -> np.ndarray:
+def _read_table(path, delimiter: str, schema, date_format: str) -> np.ndarray:
     """Read a delimited file into a table with one record per well-formed row.
 
-    ``convert`` maps a row's fields, one per ``schema`` entry and in its
-    order, to one record; a row with the wrong field count, or on which
-    ``convert`` raises ValueError or OverflowError, is malformed. Each
-    field of a record goes straight onto its column's list, so no per-row
-    object outlives its line.
+    A line is blank when ``not line.strip()``; blank lines are skipped but
+    still numbered. Every other line is a row, and it is malformed when it
+    has other than one field per ``schema`` entry, or when a field fails to
+    convert by its column's dtype: str fields are taken as they are, float64
+    fields through ``float`` and must be finite, and int64 fields are dates
+    (:func:`_parse_date` with ``date_format``). The file is read
+    ``_BLOCK_LINES`` lines at a time. Fields are counted per line with
+    ``str.count``; the well-formed lines' tokens come from one join and one
+    split per block, and each column is converted at once, so only one
+    block's tokens are held. Each distinct date string is parsed once per
+    file, and one that fails is not remembered, so every row carrying it is
+    malformed.
     """
-    columns: list[list] = [[] for _ in schema]
-    appends = [column.append for column in columns]
-    malformed = 0
+    if not delimiter:
+        raise ValueError("empty separator")
+    width = len(schema)
+    # Each column starts empty of its kind, so a file with no rows still gives typed columns.
+    pieces = [[np.empty(0, kind)] for _, kind in schema]
+    days: dict[str, int] = {}
+    malformed = total = lines_before = 0
     first_bad: list[int] = []
-    total = 0
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            total += 1
-            fields = line.split(delimiter)
-            try:
-                if len(fields) != len(schema):
-                    raise ValueError("wrong field count")
-                record = convert(*fields)
-            except (ValueError, OverflowError):
-                malformed += 1
-                if len(first_bad) < 5:
-                    first_bad.append(line_no)
-                continue
-            for append, value in zip(appends, record):
-                append(value)
+        while block := list(islice(fh, _BLOCK_LINES)):
+            # Universal newlines leave one "\n" per line, at its end; a delimiter
+            # holding "\n" can match there only once, too few for a row.
+            counts = np.fromiter(map(str.count, block, repeat(delimiter)), dtype=np.int64, count=len(block))
+            blank = np.fromiter(map(str.isspace, block), dtype=bool, count=len(block))
+            shaped = (counts == width - 1) & ~blank
+            good = block if shaped.all() else list(compress(block, shaped.tolist()))
+            tokens = "".join(good).replace(delimiter, "\n").split("\n")
+            columns = [tokens[j : width * len(good) : width] for j in range(width)]
+            ok = np.ones(len(good), dtype=bool)
+            for index, (_, kind) in enumerate(schema):
+                if kind is np.float64:
+                    columns[index] = _floats(columns[index])
+                    ok &= np.isfinite(columns[index])
+                elif kind is np.int64:
+                    columns[index], parsed = _day_numbers(columns[index], days, date_format)
+                    ok &= parsed
+            keep = None if ok.all() else ok.tolist()
+            for piece, column in zip(pieces, columns):
+                if isinstance(column, list):
+                    piece.append(np.array(column if keep is None else list(compress(column, keep)), dtype=str))
+                else:
+                    piece.append(column if keep is None else column[ok])
+            rejected = ~blank
+            total += int(rejected.sum())
+            rejected[shaped] = ~ok
+            bad = np.flatnonzero(rejected)
+            malformed += bad.size
+            first_bad += (lines_before + 1 + bad[: 5 - len(first_bad)]).tolist()
+            lines_before += len(block)
     if total and malformed > total / 2:
         raise DataFormatError(
             f"{path}: {malformed} of {total} rows are malformed (first bad lines: {first_bad})"
@@ -94,25 +123,35 @@ def _read_table(path, delimiter: str, schema, convert) -> np.ndarray:
         logger.warning(
             "%s: skipped %d malformed rows of %d (first bad lines: %s)", path, malformed, total, first_bad
         )
-    arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(columns, schema)]
+    arrays = [np.concatenate(piece) for piece in pieces]
     return np.rec.fromarrays(arrays, names=[name for name, _ in schema])
 
 
-def _date_converter(date_format: str):
-    """``_parse_date`` for one file, converting each distinct date string once.
+def _floats(tokens: list[str]) -> np.ndarray:
+    """``float`` of each token, NaN where ``float`` rejects the token."""
+    values: list[float] = []
+    rest = iter(tokens)
+    while True:
+        try:
+            values.extend(map(float, rest))
+            return np.array(values, dtype=np.float64)
+        except ValueError:
+            values.append(math.nan)
 
-    A string that fails to parse is not remembered, so every row carrying
-    it is malformed.
+
+def _day_numbers(tokens: list[str], days: dict[str, int], date_format: str) -> tuple[np.ndarray, np.ndarray]:
+    """Day numbers of date tokens (0 where one fails) and the mask of those that parse.
+
+    ``days`` caches the file's distinct tokens that parsed; one that fails
+    is not added, so it is tried again in the next block that has it.
     """
-    days: dict[str, int] = {}
-
-    def day_of(token: str) -> int:
-        day = days.get(token)
-        if day is None:
-            day = days[token] = _parse_date(token, date_format)
-        return day
-
-    return day_of
+    for token in set(tokens).difference(days):
+        try:
+            days[token] = _parse_date(token, date_format)
+        except (ValueError, OverflowError):
+            pass
+    parsed = np.fromiter(map(days.__contains__, tokens), dtype=bool, count=len(tokens))
+    return np.fromiter(map(days.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens)), parsed
 
 
 def parse_ratings(path, delimiter: str = "\t", date_format: str = "iso") -> np.ndarray:
@@ -125,15 +164,7 @@ def parse_ratings(path, delimiter: str = "\t", date_format: str = "iso") -> np.n
     order. Malformed rows are counted and logged; more than half malformed
     raises :class:`DataFormatError`.
     """
-    day_of = _date_converter(date_format)
-
-    def convert(user, item, value, date):
-        v = float(value)
-        if not math.isfinite(v):
-            raise ValueError("non-finite rating")
-        return user, item, v, day_of(date)
-
-    return _read_table(path, delimiter, _RATING_SCHEMA, convert)
+    return _read_table(path, delimiter, _RATING_SCHEMA, date_format)
 
 
 def parse_trust(path, delimiter: str = "\t", date_format: str = "iso") -> np.ndarray:
@@ -146,12 +177,7 @@ def parse_trust(path, delimiter: str = "\t", date_format: str = "iso") -> np.nda
     into one edge at its earliest bin. ``delimiter``, ``date_format`` and
     malformed handling match :func:`parse_ratings`.
     """
-    day_of = _date_converter(date_format)
-
-    def convert(a, b, date):
-        return a, b, day_of(date)
-
-    table = _read_table(path, delimiter, _TRUST_SCHEMA, convert)
+    table = _read_table(path, delimiter, _TRUST_SCHEMA, date_format)
     loops = table["user_a"] == table["user_b"]
     if loops.any():
         logger.warning("%s: dropped %d self-loop edges", path, int(loops.sum()))
@@ -159,12 +185,64 @@ def parse_trust(path, delimiter: str = "\t", date_format: str = "iso") -> np.nda
     return table
 
 
+def _index_ids(ids: np.ndarray) -> tuple[dict[str, int], np.ndarray]:
+    """Number the distinct ids in sorted order: the id -> index map and each row's index.
+
+    Rows are sorted as integers, not strings: each id's code points, at the
+    fewest bits that hold the largest, are packed several to a uint64 key,
+    big end first, so comparing an id's keys in turn compares the id in
+    code point order, as ``sorted`` does. Only the distinct ids become
+    Python strings, for the one dict.
+    """
+    ids = np.asarray(ids, dtype=str)
+    points = ids.view(np.dtype((np.uint32, (ids.dtype.itemsize // 4,))))  # (rows, width), no copy
+    bits = max(int(points.max(initial=0)).bit_length(), 1)
+    per_key = 64 // bits
+    keys = []
+    for start in range(0, points.shape[1], per_key):
+        key = np.zeros(ids.size, dtype=np.uint64)
+        for column in points[:, start : start + per_key].T:
+            key <<= np.uint64(bits)
+            key |= column
+        keys.append(key)
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(ids.size, dtype=bool)
+    first[:1] = True
+    while keys:
+        key = keys.pop()[order]
+        first[1:] |= key[1:] != key[:-1]
+    ranks = np.cumsum(first)
+    ranks -= 1
+    codes = np.empty(ids.size, dtype=np.int64)
+    codes[order] = ranks
+    distinct = ids[order[first]].tolist()
+    return dict(zip(distinct, range(len(distinct)))), codes
+
+
 def filter_min_ratings(ratings: np.ndarray, threshold: int) -> np.ndarray:
-    """Keep only users with strictly more than ``threshold`` ratings, in file order."""
+    """Keep only users with strictly more than ``threshold`` ratings, in file order.
+
+    Users are counted by their indices from :func:`_index_ids`.
+    """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    _, user_of_row, counts = np.unique(ratings["user_id"], return_inverse=True, return_counts=True)
-    return ratings[counts[user_of_row] > threshold]
+    _, users = _index_ids(ratings["user_id"])
+    return ratings[np.bincount(users)[users] > threshold]
+
+
+def _latest_rows(keys: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
+    """Each key's latest row (by timestamp, then file position), in key order.
+
+    Rows are put in (key, timestamp, position) order by a stable sort on
+    timestamps and then a stable sort on keys; each key's winner ends its run.
+    """
+    order = np.argsort(timestamps, kind="stable")
+    keys = keys[order]
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+    last = np.ones(keys.size, dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    return order[by_key[last]]
 
 
 def bin_timelines(
@@ -176,10 +254,12 @@ def bin_timelines(
 
     ``ratings`` and ``edges`` are tables as returned by :func:`parse_ratings`
     and :func:`parse_trust`. Users and items are mapped to dense indices in
-    lexicographic id order. Within a bin, duplicate (user, item) pairs keep
-    the latest rating. Each trust edge is created in the bin of its
-    earliest date; edges touching users outside the (post-filter) rating
-    universe are dropped.
+    lexicographic id order (code point order, as ``sorted`` gives) by
+    :func:`_index_ids`, which sorts integer keys rather than strings.
+    Within a bin, duplicate (user, item) pairs keep the latest rating, and
+    later file order breaks timestamp ties. Each trust edge is created in
+    the bin of its earliest date; edges touching users outside the
+    (post-filter) rating universe are dropped.
 
     Returns
     -------
@@ -192,30 +272,23 @@ def bin_timelines(
         raise DataFormatError("no ratings left after filtering")
     N = cutoffs.size + 1
 
-    user_ids, users = np.unique(ratings["user_id"], return_inverse=True)
-    item_ids, items = np.unique(ratings["item_id"], return_inverse=True)
-    user_map = dict(zip(user_ids.tolist(), range(user_ids.size)))
-    item_map = dict(zip(item_ids.tolist(), range(item_ids.size)))
-    m, n = user_ids.size, item_ids.size
+    user_map, users = _index_ids(ratings["user_id"])
+    item_map, items = _index_ids(ratings["item_id"])
+    m, n = len(user_map), len(item_map)
 
-    # Latest rating wins within a bin; later file order breaks timestamp ties.
-    # After sorting, the winner is the last row of its (bin, user, item) run.
-    timestamps = ratings["timestamp"]
-    bins = np.searchsorted(cutoffs, timestamps, side="right")
-    order = np.lexsort((np.arange(len(ratings)), timestamps, items, users, bins))
-    bins, users, items = bins[order], users[order], items[order]
-    last = np.ones(order.size, dtype=bool)
-    last[:-1] = (bins[1:] != bins[:-1]) | (users[1:] != users[:-1]) | (items[1:] != items[:-1])
-    bins, users, items = bins[last], users[last], items[last]
-    values = ratings["value"][order[last]]
+    bins = np.searchsorted(cutoffs, ratings["timestamp"], side="right")
+    order = _latest_rows((bins * m + users) * n + items, ratings["timestamp"])
+    bins, users, items, values = bins[order], users[order], items[order], ratings["value"][order]
     bounds = np.searchsorted(bins, np.arange(N + 1))
     timeline = RatingsTimeline(
         m, n, [(users[a:b], items[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     )
 
-    a = np.searchsorted(user_ids, edges["user_a"]).clip(max=m - 1)
-    b = np.searchsorted(user_ids, edges["user_b"]).clip(max=m - 1)
-    inside = (user_ids[a] == edges["user_a"]) & (user_ids[b] == edges["user_b"])
+    a, b = (
+        np.fromiter(map(user_map.get, edges[end].tolist(), repeat(-1)), dtype=np.int64, count=len(edges))
+        for end in ("user_a", "user_b")
+    )
+    inside = (a >= 0) & (b >= 0)
     if not inside.all():
         logger.warning(
             "dropped %d trust edges with endpoints outside the user universe", int((~inside).sum())
@@ -297,11 +370,17 @@ def save_dataset(
     each sorted by (user, item)), ratings_value.npy (float64 (P,)), trust.npy
     (int64 (3, E): a < b, creation bin; each edge once, sorted by (created, a,
     b)), users.map, items.map (id, tab, index), meta.txt (m, n, N, counts p=).
+    Any ``ratings_bin_<t>.tsv`` or ``trust_bin_<t>.tsv`` of the old per-bin
+    layout in ``directory`` is deleted, so no stale bin is left beside the
+    arrays; no other file is touched.
     """
     if ratings.N != trust.N or ratings.m != trust.m:
         raise ValueError("ratings and trust timelines disagree on (m, N)")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for path in directory.glob("*_bin_*.tsv"):
+        if re.fullmatch(r"(ratings|trust)_bin_[0-9]+\.tsv", path.name):
+            path.unlink()
     for name, mapping in (("users.map", user_map), ("items.map", item_map)):
         with open(directory / name, "w", encoding="utf-8") as fh:
             for key, idx in sorted(mapping.items(), key=lambda kv: kv[1]):

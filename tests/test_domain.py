@@ -158,6 +158,47 @@ def test_trust_timeline_collapses_repeated_and_reversed_pairs():
     np.testing.assert_array_equal(tl.laplacians[3].degrees, [1, 2, 0, 1])
 
 
+def canonical_edges(m, rows, cols, created):
+    """Each pair once, smaller index first, at its earliest bin, sorted by (created, row, col)."""
+    first = {}
+    for a, b, t in zip(rows, cols, created):
+        key = (min(a, b), max(a, b))
+        first[key] = min(t, first.get(key, t))
+    ordered = sorted((t, a, b) for (a, b), t in first.items())
+    return [np.array([e[i] for e in ordered], dtype=np.int64).reshape(-1) for i in (1, 2, 0)]
+
+
+CANONICAL = ([0, 2, 0, 1, 0], [1, 3, 2, 3, 3], [0, 0, 1, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "rows, cols, created",
+    [
+        CANONICAL,
+        ([1, 2, 0, 1, 0], [0, 3, 2, 3, 3], [0, 0, 1, 1, 2]),  # one pair reversed
+        ([0, 0, 2, 0, 1, 0], [1, 1, 3, 2, 3, 3], [0, 0, 0, 1, 1, 2]),  # a pair repeated in its bin
+        ([0, 2, 0, 1, 0, 2], [1, 3, 2, 3, 3, 3], [0, 0, 1, 1, 2, 2]),  # (2, 3) again in a later bin
+        ([0, 2, 0, 1, 3, 0], [1, 3, 2, 3, 2, 3], [0, 0, 1, 1, 1, 2]),  # ... and reversed
+        ([0, 0, 2, 1, 0], [2, 1, 3, 3, 3], [1, 0, 0, 1, 2]),  # out of (created, row, col) order
+    ],
+)
+def test_trust_timeline_keeps_a_canonical_list_and_canonicalises_any_other(rows, cols, created):
+    rows, cols, created = (np.array(a, dtype=np.int64) for a in (rows, cols, created))
+    tl = TrustTimeline(4, 3, rows, cols, created)
+    expected = canonical_edges(4, rows.tolist(), cols.tolist(), created.tolist())
+    for got, want in zip((tl.rows, tl.cols, tl.created), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # A list already canonical is kept as given, with no sort; any other is rebuilt.
+    kept = rows.size == expected[0].size and all(np.array_equal(a, b) for a, b in zip((rows, cols, created), expected))
+    assert np.shares_memory(tl.rows, rows) == kept
+    reference = TrustTimeline(4, 3, *expected)
+    assert np.shares_memory(reference.rows, expected[0])
+    for t in range(3):
+        assert (tl.graph(t) != reference.graph(t)).nnz == 0
+        np.testing.assert_array_equal(tl.graph(t).data, 1.0)
+        np.testing.assert_array_equal(tl.laplacians[t].degrees, reference.laplacians[t].degrees)
+
+
 def test_trust_timeline_handles_bins_without_new_edges():
     tl = TrustTimeline(3, 4, [2], [0], [1])
     assert tl.edge_count(0) == 0 and tl.graph(0).nnz == 0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from socialdmf import ingest
 from socialdmf import (
     DataFormatError,
     RatingsTimeline,
@@ -203,6 +204,196 @@ def test_parse_empty_files_give_zero_length_tables(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Block parser against the per-line reference
+
+
+def reference_read_table(path, delimiter, schema, date_format):
+    """The per-line parser that ``ingest._read_table`` replaced, kept as its reference.
+
+    Returns ``(table, malformed, total, first_bad)`` or raises as the old
+    parser did.
+    """
+    days = {}
+
+    def day_of(token):
+        day = days.get(token)
+        if day is None:
+            day = days[token] = ingest._parse_date(token, date_format)
+        return day
+
+    def convert(*fields):
+        if len(fields) == 4:
+            user, item, value, date = fields
+            v = float(value)
+            if not math.isfinite(v):
+                raise ValueError("non-finite rating")
+            return user, item, v, day_of(date)
+        a, b, date = fields
+        return a, b, day_of(date)
+
+    columns = [[] for _ in schema]
+    malformed, first_bad, total = 0, [], 0
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            total += 1
+            fields = line.split(delimiter)
+            try:
+                if len(fields) != len(schema):
+                    raise ValueError("wrong field count")
+                record = convert(*fields)
+            except (ValueError, OverflowError):
+                malformed += 1
+                if len(first_bad) < 5:
+                    first_bad.append(line_no)
+                continue
+            for column, value in zip(columns, record):
+                column.append(value)
+    if total and malformed > total / 2:
+        raise DataFormatError(
+            f"{path}: {malformed} of {total} rows are malformed (first bad lines: {first_bad})"
+        )
+    arrays = [np.asarray(column, dtype=kind) for column, (_, kind) in zip(columns, schema)]
+    return np.rec.fromarrays(arrays, names=[name for name, _ in schema]), malformed, total, first_bad
+
+
+class _SkipWarnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.args = []
+
+    def emit(self, record):
+        if record.msg.startswith("%s: skipped %d malformed rows of %d"):
+            self.args.append(record.args)
+
+
+def block_read_table(path, delimiter, schema, date_format):
+    """``ingest._read_table`` with the reference's return value, read from its warning."""
+    handler = _SkipWarnings()
+    ingest.logger.addHandler(handler)
+    try:
+        table = ingest._read_table(path, delimiter, schema, date_format)
+    finally:
+        ingest.logger.removeHandler(handler)
+    if not handler.args:
+        return table, 0, len(table), []
+    [(logged_path, malformed, total, first_bad)] = handler.args
+    assert logged_path == path
+    return table, malformed, total, first_bad
+
+
+def outcome(read, path, delimiter, schema, date_format):
+    try:
+        table, malformed, total, first_bad = read(path, delimiter, schema, date_format)
+    except ValueError as exc:  # DataFormatError included
+        return type(exc), str(exc)
+    # Table bytes and per-field dtypes (str widths included) must agree.
+    return table.dtype, table.tobytes(), malformed, total, first_bad
+
+
+GOOD_VALUES = ["4", "3.5", " 2 ", "1e3", "-0.0", "1_0", "+7", "1E-5"]
+BAD_VALUES = ["nan", "inf", "-Infinity", "1e400", "five", "", "0x10", "1__0"]
+DATES = {
+    "iso": (["2003-05-15", "2004-02-29", " 2003-06-01 ", "1969-12-31"], ["2003-02-30", "not-a-date", ""]),
+    "days": (["12", "-3", " 7 ", "1_000", "+4"], ["9" * 25, "x1", "1.5", ""]),
+    "%d/%m/%Y": (["15/05/2003", "29/02/2004", " 01/06/2003"], ["31/04/2003", "2003-05-15"]),
+}
+IDS = ["u1", "Zoë", "日本", "a:", ":b", "x:", "émile", "Ω", "q"]
+
+
+def random_dump(rng, lines, delimiter, date_format, width, final_newline=True):
+    """Text of ``lines`` lines mixing good rows with every kind of defect."""
+    good_dates, bad_dates = DATES[date_format]
+    out = []
+    for _ in range(lines):
+        kind = rng.random()
+        if kind < 0.08:
+            line = str(rng.choice(["", "   ", delimiter * (width - 1), "\t \t", "\x0c", " \x85 "]))
+        elif kind < 0.14:
+            fields = list(rng.choice(IDS, size=width + int(rng.choice([-2, -1, 1]))))
+            line = delimiter.join(fields)
+        else:
+            fields = [str(rng.choice(IDS)), str(rng.choice(IDS))]
+            if width == 4:
+                fields.append(str(rng.choice(BAD_VALUES if rng.random() < 0.1 else GOOD_VALUES)))
+            fields.append(str(rng.choice(bad_dates if rng.random() < 0.1 else good_dates)))
+            line = delimiter.join(fields)
+        out.append(line + str(rng.choice(["\n", "\r\n", "\r"], p=[0.6, 0.3, 0.1])))
+    text = "".join(out)
+    return text if final_newline else text.rstrip("\r\n")
+
+
+SCHEMAS = [ingest._RATING_SCHEMA, ingest._TRUST_SCHEMA]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("delimiter", ["\t", ",", "::"])
+@pytest.mark.parametrize("date_format", ["iso", "days", "%d/%m/%Y"])
+@pytest.mark.parametrize("schema", SCHEMAS, ids=["ratings", "trust"])
+def test_block_parser_matches_the_per_line_reference(tmp_path, monkeypatch, seed, delimiter, date_format, schema):
+    # Blocks of 7 lines, so each file spans several blocks and a bad date
+    # recurs in later blocks.
+    monkeypatch.setattr(ingest, "_BLOCK_LINES", 7)
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "dump.txt"
+    path.write_bytes(random_dump(rng, 60, delimiter, date_format, len(schema), final_newline=seed % 2 == 0).encode())
+    expected = outcome(reference_read_table, path, delimiter, schema, date_format)
+    assert outcome(block_read_table, path, delimiter, schema, date_format) == expected
+    # The dump parses, with malformed rows among its good ones.
+    assert isinstance(expected[0], np.dtype) and expected[2] > 0 and len(expected[1])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n\n  \n",
+        "u1\ti1\t4\t2003-05-15",  # no final newline
+        "u1\ti1\t4\t2003-05-15\r\nu2\ti1\t3\t2003-05-16\r\n",
+        "u1\ti1\t4\t2003-05-15\ru2\ti1\t3\t2003-05-16\r",
+        "u1\ti1\t4\t2003-05-15\n\t\t\t\nu2\ti1\t3\t2003-05-16\n",  # whitespace-only row of tabs
+        "u1\ti1\t4\nu2\ti1\t3\t2003-05-16\tx\nu3\ti1\t3\t2003-05-16\n",  # too few, too many
+        "u1\ti1\tnan\t2003-05-15\nu2\ti1\tinf\t2003-05-15\nu3\ti1\t1e400\t2003-05-15\nu4\ti1\t5\t2003-05-15\n",
+        "u1\ti1\t1_0\t2003-05-15\nu2\ti1\tfive\t2003-05-15\nu3\ti1\t2\t2003-05-15\n",
+        "u1\ti1\t4\t2003-02-30\nu2\ti1\t3\t2003-02-30\nu3\ti1\t2\t2003-05-15\n",  # more than half bad
+        "ü\t日本\t4\t2003-05-15\nZoë\tΩ\t3\t2003-05-16\n",
+    ],
+)
+def test_block_parser_matches_the_reference_on_edge_cases(tmp_path, text):
+    path = tmp_path / "r.tsv"
+    path.write_bytes(text.encode())
+    expected = outcome(reference_read_table, path, "\t", ingest._RATING_SCHEMA, "iso")
+    assert outcome(block_read_table, path, "\t", ingest._RATING_SCHEMA, "iso") == expected
+
+
+def test_block_parser_numbers_bad_lines_across_a_full_block_boundary(tmp_path):
+    # Bad lines end the first block and start the second at the real block
+    # size; a blank line and a bad date sit in both blocks.
+    block = ingest._BLOCK_LINES
+    lines = [f"u{i % 50}\ti{i % 7}\t{i % 5}\t2003-05-{1 + i % 28:02d}" for i in range(2 * block + 10)]
+    lines[block - 1] = lines[block] = "u0\ti0\tfive\t2003-05-15"
+    lines[3] = lines[block + 3] = ""
+    lines[5] = lines[block + 5] = "u1\ti1\t4\t2003-02-30"
+    path = tmp_path / "r.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = outcome(reference_read_table, path, "\t", ingest._RATING_SCHEMA, "iso")
+    got = outcome(block_read_table, path, "\t", ingest._RATING_SCHEMA, "iso")
+    assert got == expected
+    assert got[2:] == (4, len(lines) - 2, [6, block, block + 1, block + 6])
+
+
+def test_block_parser_refuses_an_empty_delimiter(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_text("u1\ti1\t4\t2003-05-15\n")
+    with pytest.raises(ValueError, match="empty separator"):
+        reference_read_table(path, "", ingest._RATING_SCHEMA, "iso")
+    with pytest.raises(ValueError, match="empty separator"):
+        parse_ratings(path, delimiter="")
+
+
+# ---------------------------------------------------------------------------
 # Filtering
 
 
@@ -315,6 +506,29 @@ def test_maps_follow_sorted_order_for_non_ascii_and_mixed_case_ids(tmp_path):
     assert list(user_map) == sorted(users) and list(user_map.values()) == list(range(len(users)))
     assert list(item_map) == sorted(items) and list(item_map.values()) == list(range(len(items)))
     assert all(type(key) is str for key in [*user_map, *item_map])
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        [],
+        [""],
+        ["b", "a", "", "b", "a\x00b", "a"],
+        ["日本", "zoë", "Zoë", "😀", "\U0010ffff", "z", "😀"],
+        ["x" * 40 + "b", "x" * 40 + "a", "x" * 39, "x" * 41, "y"],
+        [str(i) for i in range(3000, 0, -7)],
+    ],
+)
+def test_index_ids_numbers_ids_in_sorted_order(ids):
+    ids = np.array(ids, dtype=str)
+    index, codes = ingest._index_ids(ids)
+    distinct = sorted(set(ids.tolist()))
+    assert list(index) == distinct and list(index.values()) == list(range(len(distinct)))
+    assert codes.dtype == np.int64
+    assert [distinct[c] for c in codes.tolist()] == ids.tolist()
+    unique, inverse = np.unique(ids, return_inverse=True)
+    assert unique.tolist() == distinct
+    np.testing.assert_array_equal(codes, inverse.reshape(-1))
 
 
 def reference_bins(ratings, edges, cutoffs):
@@ -600,6 +814,25 @@ def test_load_dataset_rejects_an_old_tsv_directory(tmp_path):
         (tmp_path / "d" / f"trust_bin_{t}.tsv").write_text("")
     with pytest.raises(DataFormatError, match=r"ratings_index.npy not found.*re-run ingest or synth"):
         load_dataset(tmp_path / "d")
+
+
+def test_save_dataset_deletes_the_old_per_bin_files_and_nothing_else(tmp_path):
+    directory = tmp_path / "d"
+    directory.mkdir()
+    stale = [f"ratings_bin_{t}.tsv" for t in (0, 1, 7, 11)] + [f"trust_bin_{t}.tsv" for t in (0, 12)]
+    kept = [
+        "notes.txt", "ratings_bin_x.tsv", "ratings_bin_0.tsv.bak", "old_ratings_bin_0.tsv",
+        "trust_bin_.tsv", "ratings_bin_0.csv", "truth_U.npy", "ratings_bin_٣.tsv",
+    ]
+    for name in stale + kept:
+        (directory / name).write_text(f"{name}\n", encoding="utf-8")
+    _saved_fixture(directory)
+    names = {p.name for p in directory.iterdir()}
+    assert names.isdisjoint(stale)
+    assert set(kept) <= names
+    for name in kept:
+        assert (directory / name).read_text(encoding="utf-8") == f"{name}\n"
+    load_dataset(directory)
 
 
 @pytest.mark.parametrize("name", ["ratings_index.npy", "ratings_value.npy", "trust.npy"])
