@@ -28,18 +28,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def parallel_map(fn: Callable, items: Iterable, workers: Optional[int] = None) -> list:
-    """``[fn(item) for item in items]``, run on up to ``workers`` threads.
+def parallel_map(fn: Callable, items: Iterable) -> list:
+    """``[fn(item) for item in items]``, run on up to one thread per usable CPU.
 
-    ``workers`` counts the calling thread and defaults to the usable CPUs;
-    with one usable CPU, ``workers=1`` or a single item everything runs
-    inline and no thread is started. Results keep the input order. If any
-    call raises, items not yet started are skipped and the exception of the
-    earliest failing item is re-raised, as a sequential loop would.
+    The calling thread counts as one; with one usable CPU or a single item
+    everything runs inline and no thread is started. Results keep the input
+    order. If any call raises, items not yet started are skipped and the
+    exception of the earliest failing item is re-raised, as a sequential
+    loop would.
     """
     global _pool
     items = list(items)
-    helpers = min(workers or len(items), _usable_cpus(), len(items)) - 1
+    helpers = min(_usable_cpus(), len(items)) - 1
     if helpers <= 0:
         return [fn(item) for item in items]
     with _pool_lock:

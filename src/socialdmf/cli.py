@@ -183,7 +183,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     split, _ = _load_split(args)
-    factors = init_timeline(split, _smoother_config(args), iters=args.iters, n_jobs=args.threads)
+    factors = init_timeline(split, _smoother_config(args), iters=args.iters)
     save_factors(args.out, factors)
     _print_rmse(*evaluate_rmse(factors, split.test))
     print(f"wrote {args.out}")
@@ -306,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=30, help="alternating iterations (default %(default)s)")
     p.add_argument("--out", required=True, help="output checkpoint directory")
     _add_model_flags(p, "k", "gamma", "align_factors", "seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help="bins fitted at once (default: all usable CPUs)")
     p.set_defaults(func=cmd_factorize)
 
     p = add_command("smooth", help="smooth user trajectories and write a checkpoint")

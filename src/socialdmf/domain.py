@@ -100,10 +100,10 @@ class TrustTimeline:
     validated once (endpoints in ``[0, m)``, no self-loop, creation bin in
     ``[0, N)``); each undirected pair is kept once, smaller index first,
     with weight one at its earliest creation bin, and stored sorted by
-    (created, row, col). So every graph is symmetric, binary and loop-free,
-    and edge sets are monotone non-decreasing in ``t``. Bin ``t``'s
-    :class:`~socialdmf.laplacian.LaplacianOperator` is built on a prefix
-    view of that list and owned by the timeline.
+    (created, row, col) in new arrays. So every graph is symmetric, binary
+    and loop-free, and edge sets are monotone non-decreasing in ``t``. Bin
+    ``t``'s :class:`~socialdmf.laplacian.LaplacianOperator` is built on a
+    prefix view of that list and owned by the timeline.
     """
 
     def __init__(self, m: int, N: int, rows, cols, created) -> None:
@@ -121,16 +121,16 @@ class TrustTimeline:
                 raise ValueError("self-loop edge")
             if created.min() < 0 or created.max() >= N:
                 raise ValueError(f"creation bin out of range [0, {N})")
-        if not _is_canonical(m, rows, cols, created):
-            low, high = np.minimum(rows, cols), np.maximum(rows, cols)
-            # In creation order, the first sighting of a pair is its earliest.
-            by_time = np.argsort(created, kind="stable")
-            _, first = np.unique(low[by_time] * m + high[by_time], return_index=True)
-            keep = by_time[first]
-            keep = keep[np.lexsort((high[keep], low[keep], created[keep]))]
-            rows, cols, created = low[keep], high[keep], created[keep]
+        low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+        # In (created, low, high) order the first sighting of a pair is its
+        # earliest, and the first sightings, kept in that order, stay sorted.
+        # Equal keys are the same edge, so the sort need not be stable. The
+        # packed keys need N * m * m < 2**63.
+        order = np.argsort((created * m + low) * m + high)
+        _, first = np.unique((low * m + high)[order], return_index=True)
+        keep = order[np.sort(first)]
         self.m = int(m)
-        self.rows, self.cols, self.created = rows, cols, created
+        self.rows, self.cols, self.created = low[keep], high[keep], created[keep]
         ends = np.searchsorted(self.created, np.arange(N), side="right")
         self.laplacians = [LaplacianOperator(m, self.rows[:e], self.cols[:e]) for e in ends]
 
@@ -149,21 +149,6 @@ class TrustTimeline:
         """Endpoints ``rows < cols`` of bin ``t``'s edges, in (created, row, col) order."""
         op = self.laplacians[t]
         return op.rows, op.cols
-
-
-def _is_canonical(m: int, rows: np.ndarray, cols: np.ndarray, created: np.ndarray) -> bool:
-    """Whether a validated edge list is already in :class:`TrustTimeline`'s form.
-
-    That is: ``rows < cols``, (created, row, col) strictly increasing, and
-    no pair again in a later bin. The first two are O(E) comparisons; the
-    last counts the entries of one CSR matrix, which sums a repeated pair
-    into one.
-    """
-    keys = (created * m + rows) * m + cols
-    return (
-        bool(np.all(rows < cols) and np.all(keys[1:] > keys[:-1]))
-        and sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(m, m)).nnz == rows.size
-    )
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._parallel import parallel_map
 from .domain import FactorPair, FactorTimeline, SmootherConfig
-from .ingest import SplitTimeline
+from .ingest import SplitTimeline, read_npy
 
 logger = logging.getLogger(__name__)
 
@@ -171,24 +170,16 @@ def align_factor_pair(current: FactorPair, reference: FactorPair) -> FactorPair:
     return FactorPair(U=current.U @ R, V=current.V @ R)
 
 
-def init_timeline(
-    split: SplitTimeline,
-    config: SmootherConfig,
-    iters: int = 30,
-    n_jobs: Optional[int] = None,
-) -> FactorTimeline:
+def init_timeline(split: SplitTimeline, config: SmootherConfig, iters: int = 30) -> FactorTimeline:
     """Factorize every bin of the training half independently.
 
     Bins without training data get zero factors (with a warning). When
     ``config.align_factors`` is set, each bin is rotated into the frame of
-    its predecessor after fitting. The bins are fitted on up to ``n_jobs``
-    threads of the package's shared pool, all usable CPUs by default;
-    ``n_jobs=1`` fits them one after another on the calling thread. Each
-    bin's fit is seeded on its own, so the factors do not depend on
-    ``n_jobs``.
+    its predecessor after fitting. The bins are fitted on the package's
+    shared pool, one thread per usable CPU (``taskset`` narrows them), and
+    each bin's fit is seeded on its own, so the factors do not depend on
+    the thread count.
     """
-    if n_jobs is not None and n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     train = split.train
     N = train.N
     children = np.random.SeedSequence(config.seed).spawn(N)
@@ -205,7 +196,7 @@ def init_timeline(
         )
         return pair
 
-    pairs = parallel_map(fit, range(N), workers=n_jobs)
+    pairs = parallel_map(fit, range(N))
     if config.align_factors:
         for t in range(1, N):
             pairs[t] = align_factor_pair(pairs[t], pairs[t - 1])
@@ -229,12 +220,13 @@ def save_factors(directory, timeline: FactorTimeline) -> None:
 def load_factors(directory) -> FactorTimeline:
     """Read a checkpoint directory written by :func:`save_factors`.
 
-    Never unpickles. Raises ValueError when a stack is not 3-d or the two
+    Never unpickles. Raises ValueError when a file is not a ``.npy`` array
+    (an ``.npz`` archive, say), when a stack is not 3-d, or when the two
     disagree on N or k.
     """
     directory = Path(directory)
-    U = np.load(directory / "U.npy")
-    V = np.load(directory / "V.npy")
+    U = read_npy(directory / "U.npy")
+    V = read_npy(directory / "V.npy")
     if U.ndim != 3 or V.ndim != 3 or U.shape[0] != V.shape[0] or U.shape[2] != V.shape[2]:
         raise ValueError(
             f"{directory}: U.npy and V.npy must be (N, m, k) and (N, n, k) stacks, "

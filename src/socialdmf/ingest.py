@@ -399,15 +399,21 @@ def save_dataset(
         fh.write("p=" + ",".join(str(c) for c in ratings.counts) + "\n")
 
 
+def read_npy(path: Path) -> np.ndarray:
+    """Read one .npy array, never unpickling; a file that is not one raises DataFormatError naming it."""
+    with open(path, "rb") as fh:
+        try:
+            return np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def _load_array(path: Path, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """Read one .npy array, never unpickling; check ``dtype`` and ``shape`` (-1: any length)."""
+    """Read one .npy array with :func:`read_npy`; check ``dtype`` and ``shape`` (-1: any length)."""
     try:
-        with open(path, "rb") as fh:
-            array = np.lib.format.read_array(fh, allow_pickle=False)
+        array = read_npy(path)
     except FileNotFoundError:
         raise DataFormatError(f"{path} not found; TSV datasets are no longer read, re-run ingest or synth")
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
     wrong_shape = array.ndim != len(shape) or any(w not in (-1, a) for w, a in zip(shape, array.shape))
     if array.dtype != dtype or wrong_shape:
         raise DataFormatError(

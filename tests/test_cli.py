@@ -5,7 +5,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from socialdmf import SmootherConfig, load_dataset, load_factors
+from socialdmf import SmootherConfig, _parallel, load_dataset, load_factors
 from socialdmf.cli import build_parser, main
 
 
@@ -161,6 +161,19 @@ def test_evaluate_rejects_mismatched_checkpoint_stacks(synth_dataset, tmp_path, 
     rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(ckpt)])
     assert rc == 2
     assert "stacks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["U.npy", "V.npy"])
+def test_evaluate_on_an_npz_checkpoint_stack_exits_2(synth_dataset, tmp_path, capsys, name):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    np.save(ckpt / "U.npy", np.zeros((3, 15, 2)))
+    np.save(ckpt / "V.npy", np.zeros((3, 10, 2)))
+    with open(ckpt / name, "wb") as fh:
+        np.savez(fh, stack=np.zeros((3, 15, 2)))
+    rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(ckpt)])
+    assert rc == 2
+    assert str(ckpt / name) in capsys.readouterr().err
 
 
 def test_sweep_writes_csv_and_reports_best(synth_dataset, tmp_path, capsys):
@@ -443,12 +456,13 @@ def test_malformed_config_file_exits_2(synth_dataset, tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-def test_threads_do_not_change_results(synth_dataset, tmp_path):
+def test_threads_do_not_change_results(synth_dataset, tmp_path, monkeypatch):
     a = tmp_path / "a"
     b = tmp_path / "b"
     base = ["factorize", "--data", str(synth_dataset), "--k", "2", "--seed", "0"]
     assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(b)]) == 0
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
+    assert main(base + ["--out", str(b)]) == 0
     for name in sorted(p.name for p in a.iterdir()):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -556,13 +570,12 @@ REQUIRED = {
 
 MODEL_OPTIONS = {f.name for f in fields(SmootherConfig)}
 
-# The options each command's handler reads: 76 registrations over the seven commands.
+# The options each command's handler reads: 75 registrations over the seven commands.
 OPTIONS = {
     "ingest": {"ratings", "trust", "cutoffs", "min_ratings", "delimiter", "date_format", "out", "config"},
     "synth": {"m", "n", "k", "bins", "samples_per_bin", "trust_edges", "eta", "noise_std", "out", "seed",
               "config"},
-    "factorize": {"data", "split_fraction", "iters", "out", "k", "gamma", "align_factors", "seed", "threads",
-                  "config"},
+    "factorize": {"data", "split_fraction", "iters", "out", "k", "gamma", "align_factors", "seed", "config"},
     "smooth": {"data", "split_fraction", "factors", "out", "trace_out", *MODEL_OPTIONS, "config"},
     "evaluate": {"data", "split_fraction", "factors", "seed", "config"},
     "sweep": {"data", "split_fraction", "ks", "lambdas", "out", "sigma", "dt", "gamma", "max_iter", "grad_tol",
@@ -592,6 +605,7 @@ def test_each_command_registers_only_the_options_it_reads(command):
         ("factorize", "--max-iter 5"),
         ("ingest", "--seed 1"),
         ("evaluate", "--threads 2"),
+        ("factorize", "--threads 2"),
     ],
 )
 def test_an_option_the_command_does_not_read_exits_2(command, flag, capsys):
@@ -621,10 +635,10 @@ def test_config_key_for_an_option_factorize_lacks_changes_nothing(synth_dataset,
     same_files(tmp_path / "a", tmp_path / "b")
 
 
-@pytest.mark.parametrize("argv", [["factorize", "--k", "2"], ["sweep", "--ks", "2", "--lambdas", "0.01"]])
+@pytest.mark.parametrize("argv", [["sweep", "--ks", "2", "--lambdas", "0.01", "--threads", n] for n in ("0", "-3")])
 def test_fewer_than_one_thread_exits_2(argv, synth_dataset, tmp_path, capsys):
     out = tmp_path / "out"
-    rc = main(argv + ["--data", str(synth_dataset), "--threads", "0", "--out", str(out)])
+    rc = main(argv + ["--data", str(synth_dataset), "--out", str(out)])
     assert rc == 2
     assert "n_jobs must be >= 1" in capsys.readouterr().err
     assert not out.exists()

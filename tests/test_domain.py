@@ -182,17 +182,13 @@ CANONICAL = ([0, 2, 0, 1, 0], [1, 3, 2, 3, 3], [0, 0, 1, 1, 2])
         ([0, 0, 2, 1, 0], [2, 1, 3, 3, 3], [1, 0, 0, 1, 2]),  # out of (created, row, col) order
     ],
 )
-def test_trust_timeline_keeps_a_canonical_list_and_canonicalises_any_other(rows, cols, created):
+def test_trust_timeline_canonicalises_every_list(rows, cols, created):
     rows, cols, created = (np.array(a, dtype=np.int64) for a in (rows, cols, created))
     tl = TrustTimeline(4, 3, rows, cols, created)
     expected = canonical_edges(4, rows.tolist(), cols.tolist(), created.tolist())
     for got, want in zip((tl.rows, tl.cols, tl.created), expected):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # A list already canonical is kept as given, with no sort; any other is rebuilt.
-    kept = rows.size == expected[0].size and all(np.array_equal(a, b) for a, b in zip((rows, cols, created), expected))
-    assert np.shares_memory(tl.rows, rows) == kept
     reference = TrustTimeline(4, 3, *expected)
-    assert np.shares_memory(reference.rows, expected[0])
     for t in range(3):
         assert (tl.graph(t) != reference.graph(t)).nnz == 0
         np.testing.assert_array_equal(tl.graph(t).data, 1.0)
@@ -296,3 +292,45 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SmootherConfig(**kwargs)
+
+
+def random_edge_list(rng, m, N):
+    """Edges with repeated, reversed and later-bin duplicate pairs, in random order."""
+    E = int(rng.integers(0, 40))
+    rows = rng.integers(0, m, size=E)
+    cols = (rows + rng.integers(1, m, size=E)) % m  # never a self-loop
+    created = rng.integers(0, N, size=E)
+    again = rng.integers(0, E, size=int(rng.integers(0, E + 1))) if E else np.zeros(0, dtype=np.int64)
+    later = np.minimum(created[again] + rng.integers(0, N, size=again.size), N - 1)
+    flip = rng.random(again.size) < 0.5
+    rows, cols = (np.concatenate([a, np.where(flip, b[again], a[again])]) for a, b in ((rows, cols), (cols, rows)))
+    created = np.concatenate([created, later])
+    order = rng.permutation(rows.size)
+    return rows[order], cols[order], created[order]
+
+
+def assert_timeline_matches_reference(tl, m, N, rows, cols, created):
+    expected = canonical_edges(m, rows.tolist(), cols.tolist(), created.tolist())
+    for got, want in zip((tl.rows, tl.cols, tl.created), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    dense = np.zeros((m, m))
+    ends = np.searchsorted(expected[2], np.arange(N), side="right")
+    for t, end in enumerate(ends):
+        dense[:] = 0.0
+        dense[expected[0][:end], expected[1][:end]] = 1.0
+        dense += dense.T
+        np.testing.assert_array_equal(tl.graph(t).toarray(), dense)
+        np.testing.assert_array_equal(tl.laplacians[t].degrees, dense.sum(axis=1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trust_timeline_matches_the_dict_reference_on_random_lists(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(75):
+        m, N = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        rows, cols, created = random_edge_list(rng, m, N)
+        tl = TrustTimeline(m, N, rows, cols, created)
+        assert_timeline_matches_reference(tl, m, N, rows, cols, created)
+        # A canonical list fed back in comes out byte for byte the same.
+        again = TrustTimeline(m, N, tl.rows, tl.cols, tl.created)
+        assert_timeline_matches_reference(again, m, N, tl.rows, tl.cols, tl.created)

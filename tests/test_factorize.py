@@ -8,6 +8,7 @@ from socialdmf import (
     FactorPair,
     RatingsTimeline,
     SmootherConfig,
+    _parallel,
     align_factor_pair,
     factorize_bin,
     init_timeline,
@@ -234,30 +235,23 @@ def test_init_timeline_bins_differ_and_seed_matters():
     assert not np.allclose(base[0].U, other[0].U)
 
 
-def test_init_timeline_threads_match_sequential():
-    split = timeline_fixture(seed=3)
-    config = SmootherConfig(k=2, gamma=0.5, seed=7)
-    seq = init_timeline(split, config, n_jobs=1)
-    par = init_timeline(split, config, n_jobs=3)
-    for t in range(seq.N):
-        np.testing.assert_array_equal(seq[t].U, par[t].U)
-        np.testing.assert_array_equal(seq[t].V, par[t].V)
+def one_cpu_matches(split, config, monkeypatch):
+    """Fit with the pool as it stands, then on one usable CPU; check the factors match bit for bit."""
+    pooled = init_timeline(split, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(_parallel, "_usable_cpus", lambda: 1)
+        inline = init_timeline(split, config)
+    for t in range(inline.N):
+        np.testing.assert_array_equal(pooled[t].U, inline[t].U)
+        np.testing.assert_array_equal(pooled[t].V, inline[t].V)
 
 
-def test_init_timeline_default_matches_one_job(three_cpus):
-    split = timeline_fixture(seed=5, N=5)
-    config = SmootherConfig(k=3, gamma=0.5, seed=11)
-    default = init_timeline(split, config)
-    one = init_timeline(split, config, n_jobs=1)
-    for t in range(one.N):
-        np.testing.assert_array_equal(default[t].U, one[t].U)
-        np.testing.assert_array_equal(default[t].V, one[t].V)
+def test_init_timeline_threads_match_sequential(monkeypatch):
+    one_cpu_matches(timeline_fixture(seed=3), SmootherConfig(k=2, gamma=0.5, seed=7), monkeypatch)
 
 
-@pytest.mark.parametrize("n_jobs", [0, -4])
-def test_init_timeline_rejects_fewer_than_one_job(n_jobs):
-    with pytest.raises(ValueError, match="n_jobs must be >= 1"):
-        init_timeline(timeline_fixture(seed=3), SmootherConfig(k=2), n_jobs=n_jobs)
+def test_init_timeline_default_matches_one_job(three_cpus, monkeypatch):
+    one_cpu_matches(timeline_fixture(seed=5, N=5), SmootherConfig(k=3, gamma=0.5, seed=11), monkeypatch)
 
 
 def test_init_timeline_alignment_tightens_consecutive_frames():
@@ -332,6 +326,16 @@ def test_load_factors_never_unpickles(tmp_path):
     np.save(tmp_path / "U.npy", np.empty((1, 2, 2), dtype=object), allow_pickle=True)
     np.save(tmp_path / "V.npy", np.zeros((1, 3, 2)))
     with pytest.raises(ValueError, match="pickle"):
+        load_factors(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["U.npy", "V.npy"])
+def test_load_factors_rejects_an_npz_archive_naming_the_file(tmp_path, name):
+    np.save(tmp_path / "U.npy", np.zeros((1, 2, 2)))
+    np.save(tmp_path / "V.npy", np.zeros((1, 3, 2)))
+    with open(tmp_path / name, "wb") as fh:
+        np.savez(fh, stack=np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match=name):
         load_factors(tmp_path)
 
 

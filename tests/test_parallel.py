@@ -41,7 +41,7 @@ def test_a_worker_exception_is_reraised(three_cpus):
         return i
 
     with pytest.raises(KeyError, match="item"):
-        parallel_map(fail_off_the_caller, range(2), workers=2)
+        parallel_map(fail_off_the_caller, range(2))
 
 
 def test_the_earliest_failing_item_wins(three_cpus):
@@ -77,12 +77,6 @@ def test_one_usable_cpu_runs_inline_without_a_pool(monkeypatch):
     caller = threading.current_thread()
     threads = parallel_map(lambda _: threading.current_thread(), range(8))
     assert all(t is caller for t in threads)
-    assert _parallel._pool is None
-
-
-def test_one_worker_runs_inline(three_cpus):
-    caller = threading.current_thread()
-    assert all(t is caller for t in parallel_map(lambda _: threading.current_thread(), range(8), workers=1))
     assert _parallel._pool is None
 
 
