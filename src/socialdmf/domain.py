@@ -27,8 +27,9 @@ class RatingsTimeline:
 
     Observations for bin ``t`` are stored as three parallel arrays
     ``users, items, values`` of common length ``p(t)``. Indices are dense:
-    users in ``[0, m)``, items in ``[0, n)``. Within one bin a (user, item)
-    pair appears at most once.
+    users in ``[0, m)``, items in ``[0, n)``. Each bin is stored in (user,
+    item) order, each pair at most once: a bin given in that order keeps
+    the caller's arrays, any other is sorted into new ones.
 
     Parameters
     ----------
@@ -63,8 +64,11 @@ class RatingsTimeline:
                 # Bins sorted by (user, item) have strictly increasing keys,
                 # an O(p) test; only other orders pay for the sort.
                 keys = users * self.n + items
-                if not np.all(keys[1:] > keys[:-1]) and np.unique(keys).size != keys.size:
-                    raise ValueError(f"bin {t}: duplicate (user, item) pair")
+                if not np.all(keys[1:] > keys[:-1]):
+                    order = np.argsort(keys)
+                    if np.any(np.diff(keys[order]) == 0):
+                        raise ValueError(f"bin {t}: duplicate (user, item) pair")
+                    users, items, values = users[order], items[order], values[order]
             self.users.append(users)
             self.items.append(items)
             self.values.append(values)

@@ -433,8 +433,7 @@ def synth_generate(
         values = np.einsum("lk,lk->l", U[users], V[items])
         if noise_std > 0:
             values = values + rng.normal(0.0, noise_std, size=samples_per_bin)
-        order = np.lexsort((items, users))
-        bins.append((users[order], items[order], values[order]))
+        bins.append((users, items, values))
         if t < N - 1:
             pulled = U + Udot
             if eta > 0:
@@ -477,8 +476,7 @@ def random_problem(
         users = (cells // n).astype(np.int64)
         items = (cells % n).astype(np.int64)
         values = rng.uniform(1.0, 5.0, size=p_per_bin)
-        order = np.lexsort((items, users))
-        bins.append((users[order], items[order], values[order]))
+        bins.append((users, items, values))
     train = RatingsTimeline(m, n, bins)
 
     pairs = []

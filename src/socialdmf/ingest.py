@@ -328,10 +328,6 @@ def split_train_test(timeline: RatingsTimeline, fraction: float, seed: int) -> S
         p = users.size
         if p == 0:
             logger.warning("bin %d is empty; both halves will be empty", t)
-            empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-            train_bins.append(empty)
-            test_bins.append(empty)
-            continue
         perm = rng.permutation(p)
         n_train = math.ceil(fraction * p)
         tr = np.sort(perm[:n_train])
@@ -344,14 +340,11 @@ def split_train_test(timeline: RatingsTimeline, fraction: float, seed: int) -> S
 
 
 def merge_split(split: SplitTimeline) -> RatingsTimeline:
-    """Recombine a split into one timeline with canonical bin order."""
-    bins = []
-    for t in range(split.train.N):
-        u = np.concatenate([split.train.users[t], split.test.users[t]])
-        i = np.concatenate([split.train.items[t], split.test.items[t]])
-        v = np.concatenate([split.train.values[t], split.test.values[t]])
-        order = np.lexsort((i, u))
-        bins.append((u[order], i[order], v[order]))
+    """Recombine a split: each bin's halves concatenated, which the timeline puts in (user, item) order."""
+    bins = [
+        tuple(np.concatenate(halves) for halves in zip(split.train.bin(t), split.test.bin(t)))
+        for t in range(split.train.N)
+    ]
     return RatingsTimeline(split.train.m, split.train.n, bins)
 
 
@@ -367,9 +360,10 @@ def save_dataset(
     """Write the canonical binned dataset directory.
 
     Layout: ratings_index.npy (int64 (2, P): users, items; bins in time order,
-    each sorted by (user, item)), ratings_value.npy (float64 (P,)), trust.npy
-    (int64 (3, E): a < b, creation bin; each edge once, sorted by (created, a,
-    b)), users.map, items.map (id, tab, index), meta.txt (m, n, N, counts p=).
+    each in the timeline's (user, item) order), ratings_value.npy (float64
+    (P,)), trust.npy (int64 (3, E): a < b, creation bin; each edge once,
+    sorted by (created, a, b)), users.map, items.map (id, tab, index),
+    meta.txt (m, n, N, counts p=).
     Any ``ratings_bin_<t>.tsv`` or ``trust_bin_<t>.tsv`` of the old per-bin
     layout in ``directory`` is deleted, so no stale bin is left beside the
     arrays; no other file is touched.
@@ -385,12 +379,9 @@ def save_dataset(
         with open(directory / name, "w", encoding="utf-8") as fh:
             for key, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
                 fh.write(f"{key}\t{idx}\n")
-    users, items, values = (np.concatenate(c) for c in (ratings.users, ratings.items, ratings.values))
-    # (bin, user, item) keys are distinct; a stable sort is O(P) on ingest's already sorted bins.
-    bins = np.repeat(np.arange(ratings.N), ratings.counts)
-    order = np.argsort((bins * ratings.m + users) * ratings.n + items, kind="stable")
-    np.save(directory / "ratings_index.npy", np.stack([users[order], items[order]]))
-    np.save(directory / "ratings_value.npy", values[order])
+    index = np.stack([np.concatenate(ratings.users), np.concatenate(ratings.items)])
+    np.save(directory / "ratings_index.npy", index)
+    np.save(directory / "ratings_value.npy", np.concatenate(ratings.values))
     np.save(directory / "trust.npy", np.stack([trust.rows, trust.cols, trust.created]))
     with open(directory / "meta.txt", "w") as fh:
         fh.write(f"m={ratings.m}\n")
@@ -437,7 +428,8 @@ def _read_map(path: Path, size: int) -> dict[str, int]:
 def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, int], dict[str, int]]:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    Never unpickles; each bin's arrays are views of the loaded ones. An edge
+    Never unpickles; each bin's arrays are views of the loaded ones, as
+    :func:`save_dataset` writes every bin in (user, item) order. An edge
     listed again in trust.npy, in either order, keeps its earliest bin. A
     wrong dtype or shape, counts that disagree with meta.txt, an index out of
     range, a self-loop, a creation bin outside ``[0, N)``, a non-finite or

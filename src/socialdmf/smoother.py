@@ -325,23 +325,17 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     chunks of at most :data:`PRECONDITIONER_CHUNK` users on the package's
     shared thread pool, and the build's temporaries are bounded by the
     chunk: a chunk's Gram matrices are sums of outer products over its
-    slice of each bin's user-sorted ratings. The result does not depend on
-    the chunking: the factorizations and batched products work matrix by
-    matrix, and OpenBLAS rounds each row of an apply's (users, 2k) products
-    alike in any block but a short one (one row; up to about 30 at
-    k = 20), which equal chunks avoid.
+    slice of each bin's ratings, which the timeline keeps in (user, item)
+    order. The result does not depend on the chunking: the factorizations
+    and batched products work matrix by matrix, and OpenBLAS rounds each
+    row of an apply's (users, 2k) products alike in any block but a short
+    one (one row; up to about 30 at k = 20), which equal chunks avoid.
     """
     N, m, k = problem.N, problem.m, problem.k
     cfg = problem.config
     diagonal, off = _time_stencil(problem)
     eye = np.eye(k)
     coupling = np.kron(off, eye)  # block (t, t+1) of every user
-    # Each bin's ratings in user order, so a chunk's ratings are one slice.
-    by_user = []
-    for t in range(N):
-        users, items, _ = problem.train.bin(t)
-        order = np.argsort(users, kind="stable")
-        by_user.append((users[order], items[order]))
     count = -(-m // PRECONDITIONER_CHUNK)
     chunks = [slice(m * c // count, m * (c + 1) // count) for c in range(count)]
 
@@ -350,7 +344,7 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     def build(chunk: slice) -> None:
         for t in range(N):
             S = np.repeat(np.kron(diagonal[t], eye)[None], chunk.stop - chunk.start, axis=0)
-            users, items = by_user[t]
+            users, items, _ = problem.train.bin(t)
             lo, hi = np.searchsorted(users, (chunk.start, chunk.stop))
             if hi > lo:
                 V = problem.factors[t].V[items[lo:hi]]

@@ -10,6 +10,7 @@ from socialdmf import (
     SmootherState,
     TrustTimeline,
     process_noise_block,
+    save_dataset,
 )
 
 
@@ -111,6 +112,41 @@ def test_ratings_timeline_basics():
     np.testing.assert_array_equal(items, [0, 3])
     np.testing.assert_array_equal(values, [4.0, 2.5])
     assert tl.p(1) == 0 and tl.p(2) == 1
+
+
+def test_ratings_timeline_sorts_a_shuffled_bin_by_user_then_item():
+    users, items = np.array([2, 0, 1, 0, 2]), np.array([0, 3, 1, 1, 2])
+    values = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    tl = RatingsTimeline(3, 4, [(users, items, values)])
+    np.testing.assert_array_equal(tl.users[0], [0, 0, 1, 2, 2])
+    np.testing.assert_array_equal(tl.items[0], [1, 3, 1, 0, 2])
+    # Every value is still on its (user, item) pair.
+    given = dict(zip(zip(users.tolist(), items.tolist()), values.tolist()))
+    assert dict(zip(zip(tl.users[0].tolist(), tl.items[0].tolist()), tl.values[0].tolist())) == given
+
+
+def test_ratings_timeline_keeps_an_ordered_bins_arrays():
+    users, items, values = np.array([0, 0, 2]), np.array([1, 3, 0]), np.array([1.0, 2.0, 3.0])
+    tl = RatingsTimeline(3, 4, [(users, items, values)])
+    for stored, given in zip(tl.bin(0), (users, items, values)):
+        assert np.shares_memory(stored, given)
+
+
+def test_saved_dataset_does_not_depend_on_the_order_bins_were_given(tmp_path):
+    rng = np.random.default_rng(0)
+    cells = [np.sort(rng.choice(30 * 20, size=40, replace=False)) for _ in range(3)]
+    ordered = [(c // 20, c % 20, rng.normal(size=c.size)) for c in cells]
+    shuffled = []
+    for bin_ in ordered:
+        order = rng.permutation(40)
+        shuffled.append(tuple(a[order] for a in bin_))
+    trust = TrustTimeline(30, 3, [0, 4], [1, 5], [0, 2])
+    users = {f"u{u}": u for u in range(30)}
+    items = {f"i{i}": i for i in range(20)}
+    for name, bins in (("ordered", ordered), ("shuffled", shuffled)):
+        save_dataset(tmp_path / name, RatingsTimeline(30, 20, bins), trust, users, items)
+    for path in sorted((tmp_path / "ordered").iterdir()):
+        assert path.read_bytes() == (tmp_path / "shuffled" / path.name).read_bytes(), path.name
 
 
 @pytest.mark.parametrize(

@@ -657,6 +657,18 @@ def test_split_warns_on_empty_bin(caplog):
     assert any("empty" in rec.message for rec in caplog.records)
 
 
+def test_split_of_an_empty_bin_leaves_the_next_bins_split_unchanged():
+    b0, b2 = big_timeline(seed=10, N=2).bin(0), big_timeline(seed=11, N=2).bin(1)
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    gap = split_train_test(RatingsTimeline(20, 15, [b0, empty, b2]), 0.7, seed=12)
+    plain = split_train_test(RatingsTimeline(20, 15, [b0, b2]), 0.7, seed=12)
+    for got, expected in ((gap.train, plain.train), (gap.test, plain.test)):
+        for a, b in zip(got.bin(2), expected.bin(1)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert [a.dtype for a in got.bin(1)] == [np.int64, np.int64, np.float64]
+        assert got.p(1) == 0
+
+
 def test_merge_restores_canonical_timeline():
     timeline = big_timeline(seed=7)
     split = split_train_test(timeline, 0.6, seed=8)

@@ -186,7 +186,8 @@ def test_chunked_preconditioner_is_bit_identical_to_one_chunk(three_cpus, monkey
 @pytest.mark.parametrize("m", [100, 300], ids=["m-below-chunk", "m-not-a-multiple"])
 def test_default_chunks_are_bit_identical_to_one_chunk(three_cpus, monkeypatch, lam, m):
     base = random_problem(m=m, n=40, k=3, N=4, p_per_bin=4 * m, trust_edges=3 * m, lam=lam, seed=m)
-    # Ratings in no particular order: the build sorts each bin by user.
+    # Ratings given in no particular order: the timeline stores each bin in
+    # (user, item) order, so the build reads one slice per chunk.
     rng = np.random.default_rng(m)
     bins = []
     for t in range(base.N):
