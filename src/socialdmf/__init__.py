@@ -9,12 +9,10 @@ from .domain import (
     FactorPair,
     FactorTimeline,
     NumericalError,
-    ProcessNoiseBlock,
     RatingsTimeline,
     SmootherConfig,
     SmootherState,
     TrustTimeline,
-    process_noise_block,
 )
 from .experiment import (
     SWEEP_KS,
@@ -79,7 +77,6 @@ __all__ = [
     "LaplacianOperator",
     "MinimizeResult",
     "NumericalError",
-    "ProcessNoiseBlock",
     "RatingsTimeline",
     "SmootherConfig",
     "SmootherProblem",
@@ -115,7 +112,6 @@ __all__ = [
     "objective_terms",
     "parse_ratings",
     "parse_trust",
-    "process_noise_block",
     "random_problem",
     "run_dynamic",
     "run_static",

@@ -3,7 +3,9 @@
 Subcommands: ingest, synth, factorize, smooth, evaluate, sweep, checkgrad.
 Any option of a command can also come from a ``--config`` file of flat
 ``key=value`` lines keyed by dest name (``lambda``, ``max_iter``, ``eta``);
-flags win over the file, the file over the defaults that ``--help`` shows.
+each value converts by its option's ``type``, keys that name no option of
+the command are ignored, flags win over the file, and the file over the
+defaults that ``--help`` shows.
 Each command registers only the options it reads. One ``--seed`` governs
 all randomness of every command but ``ingest``, which draws none.
 
@@ -59,10 +61,8 @@ def _set_config_defaults(args: argparse.Namespace) -> None:
     Keys are option dest names (``lambda`` for ``lam``); keys that name no
     option of the command are ignored. Parsing again then converts each
     value with its option's ``type``, and explicit flags still win.
-    ``align_factors`` (``--no-align`` has no type) takes 1/true/yes/on or
-    0/false/no/off in any case; another value raises DataFormatError.
     """
-    values: dict[str, str | bool] = {}
+    values: dict[str, str] = {}
     with open(args.config, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -71,14 +71,6 @@ def _set_config_defaults(args: argparse.Namespace) -> None:
             if "=" not in line:
                 raise DataFormatError(f"{args.config}:{line_no}: expected key=value, got {line!r}")
             key, _, value = (part.strip() for part in line.partition("="))
-            if key == "align_factors":
-                word = value.lower()
-                if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-                    raise DataFormatError(
-                        f"{args.config}:{line_no}: align_factors must be 1/true/yes/on or "
-                        f"0/false/no/off, got {value!r}"
-                    )
-                value = word in ("1", "true", "yes", "on")
             values["lam" if key == "lambda" else key] = value
     options = vars(args).keys() - {"func", "command", "commands", "config"}
     args.commands[args.command].set_defaults(**{key: values[key] for key in values.keys() & options})
@@ -99,8 +91,6 @@ def _add_model_flags(p: argparse.ArgumentParser, *names: str) -> None:
                                         help="optimizer iteration cap (default %(default)s)")),
         "grad_tol": ("--grad-tol", dict(type=float, default=SmootherConfig.grad_tol,
                                         help="gradient stopping tolerance (default %(default)s)")),
-        "align_factors": ("--no-align", dict(action="store_false", default=SmootherConfig.align_factors,
-                                             help="skip rotating bins into a common frame")),
         "seed": ("--seed", dict(type=int, default=SmootherConfig.seed,
                                 help="seed for all randomness (default %(default)s)")),
     }
@@ -305,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_flags(p)
     p.add_argument("--iters", type=int, default=30, help="alternating iterations (default %(default)s)")
     p.add_argument("--out", required=True, help="output checkpoint directory")
-    _add_model_flags(p, "k", "gamma", "align_factors", "seed")
+    _add_model_flags(p, "k", "gamma", "seed")
     p.set_defaults(func=cmd_factorize)
 
     p = add_command("smooth", help="smooth user trajectories and write a checkpoint")
@@ -329,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default=",".join(map(str, SWEEP_LAMBDAS)),
                    help="comma list of social weights (default %(default)s)")
     p.add_argument("--out", required=True, help="results CSV path")
-    _add_model_flags(p, "sigma", "dt", "gamma", "max_iter", "grad_tol", "align_factors", "seed")
+    _add_model_flags(p, "sigma", "dt", "gamma", "max_iter", "grad_tol", "seed")
     p.add_argument("--threads", type=int, default=1, help="cells run at once (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 

@@ -233,7 +233,6 @@ class SmootherConfig:
     gamma: float = 1.0
     max_iter: int = 500
     grad_tol: float = 1e-6
-    align_factors: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -242,6 +241,13 @@ class SmootherConfig:
         for name in ("dt", "sigma", "gamma", "grad_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        try:  # the measurement term divides by sigma**2
+            sigma2_in_range = 0 < 1.0 / self.sigma**2 < np.inf
+        except ArithmeticError:  # Python's float ** overflowed, or sigma**2 is zero
+            sigma2_in_range = False
+        if not sigma2_in_range:
+            raise ValueError(f"sigma**2 and its reciprocal must be finite and non-zero, got sigma={self.sigma}")
+        _process_noise(self.dt)  # raises ValueError naming dt
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1:
@@ -250,35 +256,26 @@ class SmootherConfig:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class ProcessNoiseBlock:
-    """The 2x2 constant-velocity noise covariance ``q`` and its inverse.
-
-    Velocity is the first coordinate and position the second, matching the
-    per-bin block order of the flat state.
-    """
-
-    q: np.ndarray
-    q_inv: np.ndarray
-
-    def __post_init__(self) -> None:
-        prod = self.q @ self.q_inv
-        if not np.allclose(prod, np.eye(2), rtol=0.0, atol=1e-12):
-            raise NumericalError(f"q @ q_inv deviates from identity by {abs(prod - np.eye(2)).max():.3e}")
-
-
-def process_noise_block(dt: float) -> ProcessNoiseBlock:
-    """Constant-velocity process noise covariance for bin spacing ``dt``.
+def _process_noise(dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bin spacing ``dt``'s constant-velocity process noise ``q`` and its closed-form inverse.
 
     Integrating white acceleration noise over one interval gives
-    ``q = [[dt, dt^2/2], [dt^2/2, dt^3/3]]`` in (velocity, position) order;
-    the inverse is formed in closed form.
+    ``q = [[dt, dt^2/2], [dt^2/2, dt^3/3]]`` in (velocity, position) order,
+    the per-bin block order of the flat state. Raises ValueError unless
+    ``dt > 0`` and the inverse is finite and non-zero, and NumericalError
+    unless ``q @ q_inv`` is the identity to within 1e-12.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    q = np.array([[dt, dt**2 / 2.0], [dt**2 / 2.0, dt**3 / 3.0]])
-    q_inv = (12.0 / dt**4) * np.array([[dt**3 / 3.0, -(dt**2) / 2.0], [-(dt**2) / 2.0, dt]])
-    return ProcessNoiseBlock(q=q, q_inv=q_inv)
+    try:
+        q = np.array([[dt, dt**2 / 2.0], [dt**2 / 2.0, dt**3 / 3.0]])
+        q_inv = (12.0 / dt**4) * np.array([[dt**3 / 3.0, -(dt**2) / 2.0], [-(dt**2) / 2.0, dt]])
+    except ArithmeticError:  # ** overflowed, or dt**4 underflowed to zero
+        q_inv = np.full(1, np.inf)
+    if not (dt > 0 and np.all(np.isfinite(q_inv)) and np.all(q_inv)):
+        raise ValueError(f"dt must be positive with a finite, non-zero process noise inverse, got {dt}")
+    deviation = abs(q @ q_inv - np.eye(2)).max()
+    if not deviation <= 1e-12:
+        raise NumericalError(f"q @ q_inv deviates from identity by {deviation:.3e}")
+    return q, q_inv
 
 
 @dataclass

@@ -173,12 +173,13 @@ def align_factor_pair(current: FactorPair, reference: FactorPair) -> FactorPair:
 def init_timeline(split: SplitTimeline, config: SmootherConfig, iters: int = 30) -> FactorTimeline:
     """Factorize every bin of the training half independently.
 
-    Bins without training data get zero factors (with a warning). When
-    ``config.align_factors`` is set, each bin is rotated into the frame of
-    its predecessor after fitting. The bins are fitted on the package's
-    shared pool, one thread per usable CPU (``taskset`` narrows them), and
-    each bin's fit is seeded on its own, so the factors do not depend on
-    the thread count.
+    Bins without training data get zero factors (with a warning). After
+    fitting, each bin is rotated into the frame of its predecessor, so the
+    smoother's constant-velocity prior compares coordinates of one latent
+    frame across bins; the rotation leaves every U V' unchanged. The bins
+    are fitted on the package's shared pool, one thread per usable CPU
+    (``taskset`` narrows them), and each bin's fit is seeded on its own, so
+    the factors do not depend on the thread count.
     """
     train = split.train
     N = train.N
@@ -197,9 +198,8 @@ def init_timeline(split: SplitTimeline, config: SmootherConfig, iters: int = 30)
         return pair
 
     pairs = parallel_map(fit, range(N))
-    if config.align_factors:
-        for t in range(1, N):
-            pairs[t] = align_factor_pair(pairs[t], pairs[t - 1])
+    for t in range(1, N):
+        pairs[t] = align_factor_pair(pairs[t], pairs[t - 1])
     return FactorTimeline(pairs)
 
 

@@ -10,9 +10,10 @@ minimizing
 over the flat state x described in :mod:`socialdmf.domain`. H predicts each
 observed rating as the inner product of a user's position row with the item's
 fixed factor row, G chains consecutive bins through a constant-velocity
-transition, Qinv is the blockwise inverse process covariance, and L applies
-each bin's graph Laplacian to the position block. All operators act in
-O(N k (m + p + edges)) time; nothing of size m x n is ever formed.
+transition, Qinv is the blockwise closed-form inverse process covariance
+that ``config.dt`` fixes, and L applies each bin's graph Laplacian to the
+position block. All operators act in O(N k (m + p + edges)) time; nothing
+of size m x n is ever formed.
 
 The anchor w is zero except in its first position block, which carries the
 static initialization of bin 0 propagated through one transition from rest.
@@ -29,11 +30,10 @@ from ._parallel import parallel_map
 from .domain import (
     FactorTimeline,
     NumericalError,
-    ProcessNoiseBlock,
     RatingsTimeline,
     SmootherConfig,
     SmootherState,
-    process_noise_block,
+    _process_noise,
 )
 from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
 
@@ -89,7 +89,6 @@ class SmootherProblem:
         self.factors = factors
         self.laplacians = laplacians
         self.config = config
-        self.noise: ProcessNoiseBlock = process_noise_block(config.dt)
 
         self.m = train.m
         self.n = train.n
@@ -176,7 +175,7 @@ def apply_qinv(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
     Within each bin the 2x2 inverse noise block couples the velocity and
     position coordinates of every (user, latent) pair.
     """
-    qi = problem.noise.q_inv
+    _, qi = _process_noise(problem.config.dt)
     R = _blocks(problem, r)
     out = np.empty_like(R)
     out[:, 0] = qi[0, 0] * R[:, 0] + qi[0, 1] * R[:, 1]
@@ -280,7 +279,7 @@ def _time_stencil(problem: SmootherProblem) -> tuple[np.ndarray, np.ndarray]:
     constant-velocity transition, and the 2-by-2 block ``-F' Qinv`` that
     couples bins t and t+1.
     """
-    q_inv = problem.noise.q_inv
+    _, q_inv = _process_noise(problem.config.dt)
     F = np.array([[1.0, 0.0], [problem.config.dt, 1.0]])
     diagonal = np.repeat((q_inv + F.T @ q_inv @ F)[None], problem.N, axis=0)
     diagonal[-1] = q_inv

@@ -8,6 +8,7 @@ is only usable at tiny sizes.
 import numpy as np
 
 from socialdmf import SmootherProblem
+from socialdmf.domain import _process_noise
 
 
 def dense_measurement(problem: SmootherProblem) -> np.ndarray:
@@ -57,7 +58,7 @@ def dense_process(problem: SmootherProblem) -> np.ndarray:
 def dense_qinv(problem: SmootherProblem) -> np.ndarray:
     """Block-diagonal inverse process covariance: q_inv (x) I_mk per bin."""
     mk = problem.m * problem.k
-    block = np.kron(problem.noise.q_inv, np.eye(mk))
+    block = np.kron(_process_noise(problem.config.dt)[1], np.eye(mk))
     out = np.zeros((problem.N * 2 * mk, problem.N * 2 * mk))
     for t in range(problem.N):
         out[t * 2 * mk : (t + 1) * 2 * mk, t * 2 * mk : (t + 1) * 2 * mk] = block

@@ -9,36 +9,38 @@ from socialdmf import (
     SmootherConfig,
     SmootherState,
     TrustTimeline,
-    process_noise_block,
     save_dataset,
 )
+from socialdmf.domain import _process_noise
 
 
 def test_noise_block_unit_spacing():
-    block = process_noise_block(1.0)
-    np.testing.assert_allclose(block.q, [[1.0, 0.5], [0.5, 1.0 / 3.0]])
-    np.testing.assert_allclose(block.q_inv, [[4.0, -6.0], [-6.0, 12.0]])
+    q, q_inv = _process_noise(1.0)
+    np.testing.assert_allclose(q, [[1.0, 0.5], [0.5, 1.0 / 3.0]])
+    np.testing.assert_allclose(q_inv, [[4.0, -6.0], [-6.0, 12.0]])
 
 
 @pytest.mark.parametrize("dt", [0.1, 0.5, 1.0, 2.0, 10.0])
 def test_noise_block_inverse_oracle(dt):
-    block = process_noise_block(dt)
-    np.testing.assert_allclose(block.q_inv, np.linalg.inv(block.q), rtol=1e-10)
-    np.testing.assert_allclose(block.q @ block.q_inv, np.eye(2), atol=1e-12)
+    q, q_inv = _process_noise(dt)
+    np.testing.assert_allclose(q_inv, np.linalg.inv(q), rtol=1e-10)
+    np.testing.assert_allclose(q @ q_inv, np.eye(2), atol=1e-12)
 
 
 def test_noise_block_rejects_bad_dt():
     with pytest.raises(ValueError):
-        process_noise_block(0.0)
+        _process_noise(0.0)
     with pytest.raises(ValueError):
-        process_noise_block(-1.0)
+        _process_noise(-1.0)
 
 
-def test_noise_block_identity_guard():
-    good = process_noise_block(1.0)
+def test_noise_block_identity_guard(monkeypatch):
+    # Halving the identity the guard compares against is the guard's view of
+    # a q_inv twice q's inverse.
+    eye = np.eye
+    monkeypatch.setattr(np, "eye", lambda n: eye(n) / 2.0)
     with pytest.raises(NumericalError):
-        ProcessNoiseBlockBroken = type(good)
-        ProcessNoiseBlockBroken(q=good.q, q_inv=2.0 * good.q_inv)
+        _process_noise(1.0)
 
 
 def _pack(blocks):
@@ -304,7 +306,7 @@ def test_factor_timeline_uniform_shapes():
 
 def test_config_validation():
     cfg = SmootherConfig(k=5)
-    assert cfg.dt == 1.0 and cfg.lam == 0.0 and cfg.align_factors
+    assert cfg.dt == 1.0 and cfg.lam == 0.0
     for kwargs in (
         dict(k=0),
         dict(k=2, dt=0.0),
@@ -325,6 +327,12 @@ def test_config_validation():
         dict(k=2, grad_tol=float("inf")),
         dict(k=2, max_iter=0),
         dict(k=2, seed=-1),
+        # Finite values whose sigma**2 or process noise leave float64 range.
+        dict(k=2, sigma=1e200),
+        dict(k=2, sigma=1e-200),
+        dict(k=2, sigma=1e-160),  # sigma**2 is subnormal, its reciprocal inf
+        dict(k=2, dt=1e-100),
+        dict(k=2, dt=1e80),
     ):
         with pytest.raises(ValueError):
             SmootherConfig(**kwargs)

@@ -10,6 +10,7 @@ from socialdmf import (
     SmootherConfig,
     _parallel,
     align_factor_pair,
+    factorize,
     factorize_bin,
     init_timeline,
     load_factors,
@@ -254,10 +255,12 @@ def test_init_timeline_default_matches_one_job(three_cpus, monkeypatch):
     one_cpu_matches(timeline_fixture(seed=5, N=5), SmootherConfig(k=3, gamma=0.5, seed=11), monkeypatch)
 
 
-def test_init_timeline_alignment_tightens_consecutive_frames():
+def test_init_timeline_alignment_tightens_consecutive_frames(monkeypatch):
     split = timeline_fixture(seed=4, N=4)
-    aligned = init_timeline(split, SmootherConfig(k=3, gamma=0.5, seed=5, align_factors=True))
-    raw = init_timeline(split, SmootherConfig(k=3, gamma=0.5, seed=5, align_factors=False))
+    config = SmootherConfig(k=3, gamma=0.5, seed=5)
+    aligned = init_timeline(split, config)
+    monkeypatch.setattr(factorize, "align_factor_pair", lambda current, reference: current)
+    raw = init_timeline(split, config)
     for t in range(split.train.N):
         np.testing.assert_allclose(
             aligned[t].U @ aligned[t].V.T, raw[t].U @ raw[t].V.T, rtol=1e-9, atol=1e-9
