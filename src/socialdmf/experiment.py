@@ -223,7 +223,8 @@ def sweep(
     the sweep continues. ``n_jobs`` cells of one rank run at once; each
     still fits its bins and builds its preconditioner on the package's
     shared thread pool. Row order is deterministic regardless of
-    ``n_jobs``.
+    ``n_jobs``. Rows carry scores, status and solver counts only: their
+    ``factors`` and ``trace`` are None, so no rank's fits outlive its cells.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -240,12 +241,12 @@ def sweep(
 
         def one_run(lam: Optional[float]) -> ExperimentResult:
             try:
-                if lam is None:
-                    return run_static(split, config_k, factors=factors)
-                return run_dynamic(split, trust, config_k, lam, factors=factors)
+                run = (run_static(split, config_k, factors=factors) if lam is None
+                       else run_dynamic(split, trust, config_k, lam, factors=factors))
             except Exception as exc:  # noqa: BLE001
                 logger.error("run failed for k=%d lam=%s: %s", k, lam, exc)
                 return _failed_run(lam, config_k, split.train.N, exc)
+            return dataclasses.replace(run, factors=None, trace=None)
 
         if n_jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -301,8 +302,6 @@ def _laplacian_spectral_bound(op: LaplacianOperator) -> float:
     here rather than at module level, so a run that never reaches it does
     not load that subpackage (nor ``scipy.linalg``, which it pulls in).
     """
-    if op.edge_count == 0:
-        return 0.0
     L = sp.diags(op.degrees) - op.adjacency
     if op.m <= 400:
         return float(np.linalg.eigvalsh(L.toarray()).max())
@@ -382,6 +381,7 @@ def synth_generate(
     of scale ``noise_std``. The final timeline is split per bin with
     ``fraction`` going to train.
 
+    ``eta``, ``noise_std`` and ``process_std`` must be finite and >= 0, and
     ``eta`` must keep the spectral radius of (I - eta L_t) at or below one,
     that is ``eta * lambda_max(L) <= 2``; this is checked on the final
     (largest) graph. The degree bound ``max_ij (d_i + d_j) >= lambda_max``
@@ -393,8 +393,9 @@ def synth_generate(
         raise ValueError("m, n, k, N must all be >= 1")
     if samples_per_bin > m * n:
         raise ValueError(f"samples_per_bin={samples_per_bin} exceeds the {m}x{n} grid")
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    for name, value in (("eta", eta), ("noise_std", noise_std), ("process_std", process_std)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     max_pairs = m * (m - 1) // 2
     if trust_edges > max_pairs:
         raise ValueError(f"trust_edges={trust_edges} exceeds {max_pairs} possible pairs")

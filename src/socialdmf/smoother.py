@@ -175,7 +175,7 @@ def apply_qinv(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
     Within each bin the 2x2 inverse noise block couples the velocity and
     position coordinates of every (user, latent) pair.
     """
-    _, qi = _process_noise(problem.config.dt)
+    qi = _process_noise(problem.config.dt)
     R = _blocks(problem, r)
     out = np.empty_like(R)
     out[:, 0] = qi[0, 0] * R[:, 0] + qi[0, 1] * R[:, 1]
@@ -279,7 +279,7 @@ def _time_stencil(problem: SmootherProblem) -> tuple[np.ndarray, np.ndarray]:
     constant-velocity transition, and the 2-by-2 block ``-F' Qinv`` that
     couples bins t and t+1.
     """
-    _, q_inv = _process_noise(problem.config.dt)
+    q_inv = _process_noise(problem.config.dt)
     F = np.array([[1.0, 0.0], [problem.config.dt, 1.0]])
     diagonal = np.repeat((q_inv + F.T @ q_inv @ F)[None], problem.N, axis=0)
     diagonal[-1] = q_inv

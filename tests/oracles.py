@@ -8,7 +8,6 @@ is only usable at tiny sizes.
 import numpy as np
 
 from socialdmf import SmootherProblem
-from socialdmf.domain import _process_noise
 
 
 def dense_measurement(problem: SmootherProblem) -> np.ndarray:
@@ -55,10 +54,18 @@ def dense_process(problem: SmootherProblem) -> np.ndarray:
     return out
 
 
+def process_noise_covariance(dt: float) -> np.ndarray:
+    """One bin's constant-velocity noise covariance q over (velocity, position)."""
+    return np.array([[dt, dt**2 / 2.0], [dt**2 / 2.0, dt**3 / 3.0]])
+
+
 def dense_qinv(problem: SmootherProblem) -> np.ndarray:
-    """Block-diagonal inverse process covariance: q_inv (x) I_mk per bin."""
+    """Block-diagonal inverse process covariance: q^-1 (x) I_mk per bin.
+
+    q is inverted numerically, not by the production closed form.
+    """
     mk = problem.m * problem.k
-    block = np.kron(_process_noise(problem.config.dt)[1], np.eye(mk))
+    block = np.kron(np.linalg.inv(process_noise_covariance(problem.config.dt)), np.eye(mk))
     out = np.zeros((problem.N * 2 * mk, problem.N * 2 * mk))
     for t in range(problem.N):
         out[t * 2 * mk : (t + 1) * 2 * mk, t * 2 * mk : (t + 1) * 2 * mk] = block

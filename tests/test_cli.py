@@ -5,7 +5,8 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from socialdmf import SmootherConfig, _parallel, load_dataset, load_factors
+from socialdmf import NumericalError, SmootherConfig, _parallel, load_dataset, load_factors
+from socialdmf import cli
 from socialdmf.cli import build_parser, main
 
 
@@ -118,6 +119,17 @@ def test_smooth_rejects_non_finite_lambda(synth_dataset, tmp_path, capsys):
     ])
     assert rc == 2
     assert "lam must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_smooth_exits_1_on_a_numerical_failure(synth_dataset, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericalError("objective or gradient is non-finite")
+
+    monkeypatch.setattr(cli, "run_dynamic", fail)
+    rc = main(["smooth", "--data", str(synth_dataset), "--k", "2", "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "numerical failure: objective or gradient is non-finite" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
@@ -246,6 +258,13 @@ def test_checkgrad_passes_by_default(capsys):
 def test_checkgrad_fails_with_unreachable_tolerance():
     rc = main(["checkgrad", "--tol", "1e-18"])
     assert rc == 1
+
+
+def test_checkgrad_passes_at_a_spacing_far_from_one(capsys):
+    # The gradient check holds far from dt = 1, where q @ q_inv rounds
+    # visibly away from the identity.
+    assert main(["checkgrad", "--dt", "5e3"]) == 0
+    assert "max_relative_error" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value", [("sigma", "1e200"), ("sigma", "1e-200"), ("dt", "1e-100"), ("dt", "1e80")])

@@ -4,7 +4,6 @@ import pytest
 from socialdmf import (
     FactorPair,
     FactorTimeline,
-    NumericalError,
     RatingsTimeline,
     SmootherConfig,
     SmootherState,
@@ -13,16 +12,18 @@ from socialdmf import (
 )
 from socialdmf.domain import _process_noise
 
+from oracles import process_noise_covariance
+
 
 def test_noise_block_unit_spacing():
-    q, q_inv = _process_noise(1.0)
-    np.testing.assert_allclose(q, [[1.0, 0.5], [0.5, 1.0 / 3.0]])
+    q_inv = _process_noise(1.0)
+    np.testing.assert_allclose(process_noise_covariance(1.0), [[1.0, 0.5], [0.5, 1.0 / 3.0]])
     np.testing.assert_allclose(q_inv, [[4.0, -6.0], [-6.0, 12.0]])
 
 
 @pytest.mark.parametrize("dt", [0.1, 0.5, 1.0, 2.0, 10.0])
 def test_noise_block_inverse_oracle(dt):
-    q, q_inv = _process_noise(dt)
+    q, q_inv = process_noise_covariance(dt), _process_noise(dt)
     np.testing.assert_allclose(q_inv, np.linalg.inv(q), rtol=1e-10)
     np.testing.assert_allclose(q @ q_inv, np.eye(2), atol=1e-12)
 
@@ -34,13 +35,13 @@ def test_noise_block_rejects_bad_dt():
         _process_noise(-1.0)
 
 
-def test_noise_block_identity_guard(monkeypatch):
-    # Halving the identity the guard compares against is the guard's view of
-    # a q_inv twice q's inverse.
-    eye = np.eye
-    monkeypatch.setattr(np, "eye", lambda n: eye(n) / 2.0)
-    with pytest.raises(NumericalError):
-        _process_noise(1.0)
+@pytest.mark.parametrize("e", range(-40, 41))
+def test_config_accepts_every_spacing_with_a_finite_noise_inverse(e):
+    # Far from dt = 1 the entries of q @ q_inv cancel terms of size about
+    # 6/dt or 2 dt, so only the range of q_inv can decide validity.
+    dt = 10.0 ** (e / 4)
+    assert SmootherConfig(k=2, dt=dt).dt == dt
+    assert np.all(np.isfinite(_process_noise(dt)))
 
 
 def _pack(blocks):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import logging
 import sys
 import weakref
@@ -129,6 +130,14 @@ def test_synth_split_fraction():
 def test_synth_rejects_unstable_eta():
     with pytest.raises(ValueError, match="eta"):
         synth_generate(10, 5, 2, 2, 10, 8, eta=1000.0, noise_std=0.1, seed=0)
+    # A negative or non-finite scale is named, not silently read as 0; with
+    # no trust edges no stability check sees eta at all.
+    scales = dict(eta=0.0, noise_std=0.1, process_std=0.02)
+    for name, value in [("eta", -1.0), ("eta", np.nan), ("eta", np.inf), ("noise_std", -1.0),
+                        ("noise_std", np.nan), ("noise_std", np.inf), ("process_std", -1.0),
+                        ("process_std", np.nan), ("process_std", np.inf)]:
+        with pytest.raises(ValueError, match=name):
+            synth_generate(10, 5, 2, 2, 10, 0, seed=0, **{**scales, name: value})
 
 
 def _lambda_max(trust) -> float:
@@ -373,6 +382,47 @@ def test_sweep_survives_a_failing_cell(small_synth, caplog):
     assert statuses[:2] == ["ok", "ok"] and statuses[3] == "max_iter"
     assert results[3].rel_grad > config.grad_tol
     assert statuses[2].startswith("error")
+
+
+def test_sweep_survives_a_failing_init(small_synth, monkeypatch):
+    split, trust, _ = small_synth
+    fit = experiment.init_timeline
+
+    def init_timeline(split, config):
+        if config.k == 3:
+            raise ValueError("no fit at k=3")
+        return fit(split, config)
+
+    monkeypatch.setattr(experiment, "init_timeline", init_timeline)
+    config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=30)
+    results = sweep(split, trust, ks=[3, 2], lambdas=[0.01], config=config)
+    assert [(r.model, r.k) for r in results] == [
+        ("static", 3), ("dynamic", 3), ("dynamic_social", 3),
+        ("static", 2), ("dynamic", 2), ("dynamic_social", 2),
+    ]
+    for r in results[:3]:
+        assert r.status == "error: no fit at k=3"
+        assert np.isnan(r.rmse_weighted) and len(r.rmse_per_bin) == split.train.N
+    assert [r.status for r in results[3:]] == ["ok", "ok", "ok"]
+
+
+def test_sweep_rows_keep_scores_not_fits(small_synth, monkeypatch):
+    split, trust, _ = small_synth
+    fit = experiment.init_timeline
+    fits = []
+
+    def init_timeline(split, config):
+        factors = fit(split, config)
+        fits.append(weakref.ref(factors))
+        return factors
+
+    monkeypatch.setattr(experiment, "init_timeline", init_timeline)
+    config = SmootherConfig(k=2, gamma=0.5, seed=0, max_iter=30)
+    results = sweep(split, trust, ks=[2, 3], lambdas=[0.01], config=config)
+    gc.collect()
+    assert len(fits) == 2 and all(ref() is None for ref in fits)
+    assert all(r.factors is None and r.trace is None for r in results)
+    assert all(r.status == "ok" and np.isfinite(r.rmse_weighted) for r in results)
 
 
 def test_sweep_runs_each_distinct_cell_once(small_synth):
