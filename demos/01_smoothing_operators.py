@@ -22,7 +22,7 @@ from socialdmf import (
     objective_terms,
     random_problem,
 )
-from socialdmf.smoother import block_preconditioner, coarse_correction
+from socialdmf.smoother import block_preconditioner
 
 
 def main():
@@ -65,8 +65,7 @@ def main():
     plain = solve(memory=15)
     # As run_dynamic solves: preconditioned, with one curvature pair (more
     # would not change a preconditioned exact-step solve).
-    precondition = coarse_correction(problem, block_preconditioner(problem))
-    result = solve(memory=1, precondition=precondition)
+    result = solve(memory=1, precondition=block_preconditioner(problem))
     print(f"optimizer: {result.status} after {result.iterations} iterations "
           f"preconditioned, {plain.iterations} without ({plain.status}), "
           f"f {result.trace[0][1]:.4f} -> {result.f:.6f}")

@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=4, help="time bins (default %(default)s)")
     p.add_argument("--p-per-bin", type=int, default=60, help="ratings per bin (default %(default)s)")
     p.add_argument("--trust-edges", type=int, default=30, help="trust edges (default %(default)s)")
-    p.add_argument("--step", type=float, default=1e-3, help="finite-difference step (default %(default)s)")
+    p.add_argument("--step", type=float, default=1.0, help="finite-difference step (default %(default)s)")
     p.add_argument("--tol", type=float, default=1e-6, help="largest relative error (default %(default)s)")
     _add_model_flags(p, "k", "lam", "sigma", "dt", "seed")
     p.set_defaults(func=cmd_checkgrad, k=3, lam=0.01)

@@ -36,7 +36,7 @@ from .factorize import init_timeline
 from .ingest import SplitTimeline, split_train_test
 from .laplacian import LaplacianOperator, apply_laplacian, build_timeline_laplacians
 from .optim import finite_diff_check, lbfgs_minimize
-from .smoother import SmootherProblem, block_preconditioner, coarse_correction, objective_and_gradient
+from .smoother import SmootherProblem, block_preconditioner, objective_and_gradient
 
 logger = logging.getLogger(__name__)
 
@@ -152,8 +152,7 @@ def run_dynamic(
     The optimizer warm-starts from the static factors (positions) with zero
     velocities. Item factors stay fixed at their per-bin static estimates.
     L-BFGS is preconditioned with :func:`~socialdmf.smoother.block_preconditioner`
-    plus, at ``lam > 0``, its all-users
-    :func:`~socialdmf.smoother.coarse_correction`, and keeps one curvature
+    (at ``lam > 0`` with its all-users coarse term), and keeps one curvature
     pair: with a fixed preconditioner and exact steps its iterates are, up
     to rounding, those of preconditioned conjugate gradients whatever the
     memory, so more pairs would only cost state vectors.
@@ -179,7 +178,7 @@ def run_dynamic(
         memory=1,
         max_iter=config.max_iter,
         grad_tol=config.grad_tol,
-        precondition=coarse_correction(problem, block_preconditioner(problem)),
+        precondition=block_preconditioner(problem),
     )
     final = SmootherState(x=result.x, N=factors.N, m=factors.m, k=config.k)
     smoothed = FactorTimeline(
@@ -287,11 +286,6 @@ class SynthTruth:
     positions: list[np.ndarray]
     velocities: list[np.ndarray]
     item_factors: np.ndarray
-
-    def factors(self) -> FactorTimeline:
-        return FactorTimeline(
-            [FactorPair(U=U, V=self.item_factors) for U in self.positions]
-        )
 
 
 def _laplacian_spectral_bound(op: LaplacianOperator) -> float:
@@ -499,11 +493,11 @@ def random_problem(
     return SmootherProblem(train, factors, laplacians, config)
 
 
-def check_gradient(problem: SmootherProblem, step: float = 1e-3, seed: int = 0) -> float:
+def check_gradient(problem: SmootherProblem, step: float = 1.0, seed: int = 0) -> float:
     """Finite-difference error of the smoother gradient at a random state.
 
     The objective is quadratic in the state, so central differences carry no
-    truncation error and a fairly large step minimizes rounding loss.
+    truncation error at any step and a large one minimizes rounding loss.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(problem.state_size)

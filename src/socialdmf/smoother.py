@@ -305,20 +305,34 @@ def _spd_inverse(S: np.ndarray) -> np.ndarray:
 
 
 def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """``r -> P^-1 r``, P the Hessian without the Laplacians' adjacency entries.
+    """``r -> P^-1 r + Z (E^-1 - E_P^-1) Z' r``, the smoother solve's preconditioner.
 
-    Keeping only the degree terms decouples the users, so P is, per user,
+    P is the Hessian without the Laplacians' adjacency entries. Keeping only
+    the degree terms decouples the users, so P is, per user,
     block-tridiagonal in time with 2k-by-2k (velocity, position) blocks:
     ``kron(a_t, I_k)`` on the diagonal, ``a_t = Qinv + F' Qinv F`` (``Qinv``
     for the last bin) with F the transition, plus ``M_it / sigma^2 + lam
     deg_t(i) I_k`` on positions, M_it the Gram matrix of user i's bin-t item
     factors; ``kron(-F' Qinv, I_k)`` couples bins t and t+1. At ``lam = 0``
-    P is the Hessian. Forward block elimination in time (the information
-    form of the Rauch-Tung-Striebel smoother) inverts each symmetric
-    positive definite Schur complement through its Cholesky factor and
-    stores the inverses as one (N, m, 2k, 2k) float32 stack; an apply is a
-    forward and a backward sweep of float64 batched mat-vecs, a fixed
-    symmetric positive definite operator.
+    P is the Hessian and the operator is ``P^-1``. Forward block
+    elimination in time (the information form of the Rauch-Tung-Striebel
+    smoother) inverts each symmetric positive definite Schur complement
+    through its Cholesky factor and stores the inverses as one
+    (N, m, 2k, 2k) float32 stack; ``P^-1 r`` is a forward and a backward
+    sweep of float64 batched mat-vecs.
+
+    At ``lam > 0`` P is far too stiff where every user moves together:
+    there ``L 1 = 0`` but ``D 1`` is large. The second term, a coarse
+    correction, undoes that. Z has one column per (bin, velocity/position,
+    latent coordinate), equal for every user, so ``Z' r`` sums over users
+    and ``Z c`` broadcasts. Because ``L 1 = 0``, ``E = Z' A Z`` is
+    ``kron(m T, I_k)``, T one user's 2N-by-2N time stencil, plus
+    ``sum_l V_j V_j' / sigma^2`` over each bin's training ratings on its
+    position block; ``E_P = Z' P Z`` adds ``lam * sum(deg_t) I_k`` there.
+    It is a one-aggregate coarse space in the additive form (Nicolaides,
+    SIAM J. Numer. Anal. 24, 1987; Tang, Nabben, Vuik & Erlangga, J. Sci.
+    Comput. 39, 2009). The operator is fixed, and it is symmetric positive
+    definite because ``E <= E_P``.
 
     Users are independent in P, so the build and each apply run in equal
     chunks of at most :data:`PRECONDITIONER_CHUNK` users on the package's
@@ -359,11 +373,28 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
 
     parallel_map(build, chunks)
 
+    delta = None
+    if cfg.lam > 0:
+        T = np.zeros((N, 2, N, 2))
+        T[np.arange(N), :, np.arange(N)] = diagonal
+        T[np.arange(N - 1), :, np.arange(1, N)] = off
+        T[np.arange(1, N), :, np.arange(N - 1)] = off.T
+        E = np.kron(m * T.reshape(2 * N, 2 * N), eye).reshape(N, 2, k, N, 2, k)
+        E_P = E.copy()
+        for t in range(N):
+            V = problem.factors[t].V[problem.train.items[t]]
+            gram = V.T @ V / cfg.sigma**2
+            E[t, 1, :, t, 1] += gram
+            E_P[t, 1, :, t, 1] += gram + cfg.lam * problem.laplacians[t].degrees.sum() * eye
+        size = 2 * N * k
+        delta = np.linalg.inv(E.reshape(size, size)) - np.linalg.inv(E_P.reshape(size, size))
+
     def solve(t: int, chunk: slice, y: np.ndarray) -> np.ndarray:
         return np.matmul(inverses[t, chunk].astype(np.float64), y[..., None])[..., 0]
 
     def apply(r: np.ndarray) -> np.ndarray:
-        R = _blocks(problem, r).transpose(0, 2, 1, 3).reshape(N, m, 2 * k)
+        blocks = _blocks(problem, r)
+        R = blocks.transpose(0, 2, 1, 3).reshape(N, m, 2 * k)
         X = np.empty_like(R)
 
         def sweep(chunk: slice) -> None:
@@ -374,54 +405,8 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
                 X[t, chunk] -= solve(t, chunk, X[t + 1, chunk] @ coupling.T)
 
         parallel_map(sweep, chunks)
+        if delta is not None:
+            X += (delta @ blocks.sum(axis=2).reshape(-1)).reshape(N, 1, 2 * k)
         return X.reshape(N, m, 2, k).transpose(0, 2, 1, 3).reshape(-1)
-
-    return apply
-
-
-def coarse_correction(
-    problem: SmootherProblem, precondition: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``r -> P^-1 r + Z (E^-1 - E_P^-1) Z' r`` for P from :func:`block_preconditioner`.
-
-    P drops the Laplacians' adjacency, so it is far too stiff where every
-    user moves together: there ``L 1 = 0`` but ``D 1`` is large. Z has one
-    column per (bin, velocity/position, latent coordinate), equal for every
-    user, so ``Z' r`` sums over users and ``Z c`` broadcasts. Because
-    ``L 1 = 0``, ``E = Z' A Z`` is ``kron(m T, I_k)``, T one user's 2N-by-2N
-    time stencil, plus ``sum_l V_j V_j' / sigma^2`` over each bin's training
-    ratings on its position block; ``E_P = Z' P Z`` adds ``lam * sum(deg_t)
-    I_k`` there. The result is symmetric positive definite because
-    ``E <= E_P``. It is a one-aggregate coarse space in the additive form
-    (Nicolaides, SIAM J. Numer. Anal. 24, 1987; Tang, Nabben, Vuik &
-    Erlangga, J. Sci. Comput. 39, 2009). ``precondition`` is the apply
-    :func:`block_preconditioner` returned for ``problem``; each of its
-    results is a new array, which the correction adds to in place. At
-    ``lam = 0`` P is the Hessian and ``precondition`` is returned as given.
-    """
-    cfg = problem.config
-    if cfg.lam == 0:
-        return precondition
-    N, m, k = problem.N, problem.m, problem.k
-    diagonal, off = _time_stencil(problem)
-    T = np.zeros((N, 2, N, 2))
-    T[np.arange(N), :, np.arange(N)] = diagonal
-    T[np.arange(N - 1), :, np.arange(1, N)] = off
-    T[np.arange(1, N), :, np.arange(N - 1)] = off.T
-    E = np.kron(m * T.reshape(2 * N, 2 * N), np.eye(k)).reshape(N, 2, k, N, 2, k)
-    E_P = E.copy()
-    for t in range(N):
-        V = problem.factors[t].V[problem.train.items[t]]
-        gram = V.T @ V / cfg.sigma**2
-        E[t, 1, :, t, 1] += gram
-        E_P[t, 1, :, t, 1] += gram + cfg.lam * problem.laplacians[t].degrees.sum() * np.eye(k)
-    size = 2 * N * k
-    delta = np.linalg.inv(E.reshape(size, size)) - np.linalg.inv(E_P.reshape(size, size))
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        out = precondition(r)
-        coarse = delta @ _blocks(problem, r).sum(axis=2).reshape(-1)
-        _blocks(problem, out)[:] += coarse.reshape(N, 2, 1, k)
-        return out
 
     return apply

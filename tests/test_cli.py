@@ -261,10 +261,11 @@ def test_checkgrad_fails_with_unreachable_tolerance():
 
 
 def test_checkgrad_passes_at_a_spacing_far_from_one(capsys):
-    # The gradient check holds far from dt = 1, where q @ q_inv rounds
-    # visibly away from the identity.
-    assert main(["checkgrad", "--dt", "5e3"]) == 0
-    assert "max_relative_error" in capsys.readouterr().out
+    # The gradient check holds far from dt = 1, on both sides; at a small
+    # spacing the default step must be large enough to beat rounding.
+    for dt in ("5e3", "1e-3", "1e-4"):
+        assert main(["checkgrad", "--dt", dt]) == 0, dt
+        assert "max_relative_error" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value", [("sigma", "1e200"), ("sigma", "1e-200"), ("dt", "1e-100"), ("dt", "1e80")])

@@ -105,7 +105,8 @@ def test_synth_noiseless_constant_velocity_is_exact():
             rtol=1e-12, atol=1e-14,
         )
     merged = merge_split(split)
-    _, weighted = evaluate_rmse(truth.factors(), merged)
+    factors = FactorTimeline([FactorPair(U=U, V=truth.item_factors) for U in truth.positions])
+    _, weighted = evaluate_rmse(factors, merged)
     assert weighted <= 1e-12
 
 

@@ -1,5 +1,4 @@
 import inspect
-from itertools import product
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from socialdmf import (
     random_problem,
 )
 from socialdmf import smoother
-from socialdmf.smoother import block_preconditioner, coarse_correction
+from socialdmf.smoother import block_preconditioner
 
 import oracles
 
@@ -109,11 +108,16 @@ def test_preconditioner_inverts_the_hessian_without_adjacency(seed, lam, dt, cas
     A = H.T @ H / 0.7**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
     # The social matrix is kron(D - W, I_k) on positions; keep only its diagonal D.
     P = A - lam * S + lam * np.diag(np.diag(S))
+    # The coarse term reads only Z' r, the per-(bin, velocity/position,
+    # coordinate) sum over users, so on residuals with Z' r = 0 the operator
+    # is inv(P) alone. Q projects onto them (Z' Z = m I).
+    Z = np.kron(np.eye(2 * problem.N), np.kron(np.ones((problem.m, 1)), np.eye(problem.k)))
+    Q = np.eye(problem.state_size) - Z @ Z.T / problem.m
     apply = block_preconditioner(problem)
-    P_inv = np.column_stack([apply(e) for e in np.eye(problem.state_size)])
-    expected = np.linalg.inv(P)
+    P_inv_Q = np.column_stack([apply(q) for q in Q.T])
+    expected = np.linalg.inv(P) @ Q
     # The inverse blocks are stored in float32.
-    np.testing.assert_allclose(P_inv, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
+    np.testing.assert_allclose(P_inv_Q, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20])
@@ -136,16 +140,15 @@ def test_coarse_correction_adds_the_all_users_mode(seed, lam, dt, case):
     G = oracles.dense_process(problem)
     S = oracles.dense_social(problem)
     A = H.T @ H / 0.7**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
+    # The social matrix is kron(D - W, I_k) on positions; P keeps only its diagonal D.
     P = A - lam * S + lam * np.diag(np.diag(S))
-    apply = block_preconditioner(problem)
-    corrected = coarse_correction(problem, apply)
-    if lam == 0:
-        assert corrected is apply
-    # One column per (bin, velocity/position, coordinate), equal for every user.
+    # One column per (bin, velocity/position, coordinate), equal for every
+    # user. At lam = 0, P = A and E = E_P, so the operator must be inv(P).
     Z = np.kron(np.eye(2 * problem.N), np.kron(np.ones((problem.m, 1)), np.eye(problem.k)))
     E, E_P = Z.T @ A @ Z, Z.T @ P @ Z
     expected = np.linalg.inv(P) + Z @ (np.linalg.inv(E) - np.linalg.inv(E_P)) @ Z.T
-    M = np.column_stack([corrected(e) for e in np.eye(problem.state_size)])
+    apply = block_preconditioner(problem)
+    M = np.column_stack([apply(e) for e in np.eye(problem.state_size)])
     # P's inverse blocks are stored in float32.
     atol = 1e-5 * np.abs(expected).max()
     np.testing.assert_allclose(M, expected, rtol=1e-5, atol=atol)
@@ -212,9 +215,8 @@ def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, c
     f_star = oracles.dense_objective(problem, x_star)
     # 1e-10 is far below what the objective gap needs; the solve must still
     # report convergence.
-    operators = [block_preconditioner(problem)]
-    operators.append(coarse_correction(problem, operators[0]))
-    for precondition, grad_tol in product(operators, (1e-6, 1e-10)):
+    precondition = block_preconditioner(problem)
+    for grad_tol in (1e-6, 1e-10):
         result = lbfgs_minimize(
             lambda x: objective_and_gradient(problem, x),
             np.zeros(problem.state_size),
@@ -240,9 +242,8 @@ def test_preconditioned_solve_does_not_depend_on_memory(seed, lam, dt, case):
     # With a fixed preconditioner and exact steps, L-BFGS is preconditioned
     # CG whatever its memory, so run_dynamic keeps one pair.
     problem = _edge_case_problem(case, seed, lam, 0.7, dt)
-    operators = [block_preconditioner(problem)]
-    operators.append(coarse_correction(problem, operators[0]))
-    for precondition, grad_tol in product(operators, (1e-6, 1e-10)):
+    precondition = block_preconditioner(problem)
+    for grad_tol in (1e-6, 1e-10):
         runs = []
         for memory in (1, 5, 20):
             points = []
