@@ -84,7 +84,6 @@ def _add_model_flags(p: argparse.ArgumentParser, *names: str) -> None:
                                  help="social penalty weight (default %(default)s)")),
         "sigma": ("--sigma", dict(type=float, default=SmootherConfig.sigma,
                                   help="measurement noise scale (default %(default)s)")),
-        "dt": ("--dt", dict(type=float, default=SmootherConfig.dt, help="bin spacing (default %(default)s)")),
         "gamma": ("--gamma", dict(type=float, default=SmootherConfig.gamma,
                                   help="ridge weight of the initializer (default %(default)s)")),
         "max_iter": ("--max-iter", dict(type=int, default=SmootherConfig.max_iter,
@@ -236,10 +235,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_checkgrad(args: argparse.Namespace) -> int:
+    if not 0 < args.tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {args.tol}")
     problem = random_problem(
         m=args.m, n=args.n, k=args.k, N=args.bins,
         p_per_bin=args.p_per_bin, trust_edges=args.trust_edges,
-        lam=args.lam, seed=args.seed, sigma=args.sigma, dt=args.dt,
+        lam=args.lam, seed=args.seed, sigma=args.sigma,
     )
     err = check_gradient(problem, step=args.step, seed=args.seed)
     print(f"max_relative_error={err:.3e}")
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", default=",".join(map(str, SWEEP_LAMBDAS)),
                    help="comma list of social weights (default %(default)s)")
     p.add_argument("--out", required=True, help="results CSV path")
-    _add_model_flags(p, "sigma", "dt", "gamma", "max_iter", "grad_tol", "seed")
+    _add_model_flags(p, "sigma", "gamma", "max_iter", "grad_tol", "seed")
     p.add_argument("--threads", type=int, default=1, help="cells run at once (default %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trust-edges", type=int, default=30, help="trust edges (default %(default)s)")
     p.add_argument("--step", type=float, default=1.0, help="finite-difference step (default %(default)s)")
     p.add_argument("--tol", type=float, default=1e-6, help="largest relative error (default %(default)s)")
-    _add_model_flags(p, "k", "lam", "sigma", "dt", "seed")
+    _add_model_flags(p, "k", "lam", "sigma", "seed")
     p.set_defaults(func=cmd_checkgrad, k=3, lam=0.01)
 
     return parser

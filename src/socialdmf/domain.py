@@ -221,14 +221,13 @@ class SmootherConfig:
     """Hyperparameters and solver settings for the trajectory smoother.
 
     ``lam`` weights the social disagreement penalty, ``sigma`` is the
-    measurement noise scale, ``dt`` the bin spacing, and ``gamma`` the ridge
-    weight of the static initializer. A single ``seed`` governs every random
-    draw made under this configuration. Any ``dt`` whose process noise
-    inverse is finite and non-zero, about 1e-77 to 1e77, is accepted.
+    measurement noise scale, and ``gamma`` the ridge weight of the static
+    initializer. Bins are one time unit apart: a spacing ``s`` gives the
+    positions of ``sigma * s**-1.5`` and ``lam * s**3`` at unit spacing. A
+    single ``seed`` governs every random draw made under this configuration.
     """
 
     k: int
-    dt: float = 1.0
     sigma: float = 1.0
     lam: float = 0.0
     gamma: float = 1.0
@@ -239,7 +238,7 @@ class SmootherConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        for name in ("dt", "sigma", "gamma", "grad_tol"):
+        for name in ("sigma", "gamma", "grad_tol"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         try:  # the measurement term divides by sigma**2
@@ -248,30 +247,12 @@ class SmootherConfig:
             sigma2_in_range = False
         if not sigma2_in_range:
             raise ValueError(f"sigma**2 and its reciprocal must be finite and non-zero, got sigma={self.sigma}")
-        _process_noise(self.dt)  # raises ValueError naming dt
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-
-
-def _process_noise(dt: float) -> np.ndarray:
-    """Closed-form inverse of bin spacing ``dt``'s constant-velocity process noise.
-
-    Integrating white acceleration noise over one interval gives
-    ``q = [[dt, dt^2/2], [dt^2/2, dt^3/3]]`` in (velocity, position) order,
-    the per-bin block order of the flat state. Raises ValueError unless
-    ``dt > 0`` and ``q``'s inverse is finite and non-zero.
-    """
-    try:
-        q_inv = (12.0 / dt**4) * np.array([[dt**3 / 3.0, -(dt**2) / 2.0], [-(dt**2) / 2.0, dt]])
-    except ArithmeticError:  # ** overflowed, or dt**4 underflowed to zero
-        q_inv = np.full(1, np.inf)
-    if not (dt > 0 and np.all(np.isfinite(q_inv)) and np.all(q_inv)):
-        raise ValueError(f"dt must be positive with a finite, non-zero process noise inverse, got {dt}")
-    return q_inv
 
 
 @dataclass

@@ -385,6 +385,9 @@ def synth_generate(
     """
     if min(m, n, k, N) < 1:
         raise ValueError("m, n, k, N must all be >= 1")
+    for name, value in (("samples_per_bin", samples_per_bin), ("trust_edges", trust_edges)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if samples_per_bin > m * n:
         raise ValueError(f"samples_per_bin={samples_per_bin} exceeds the {m}x{n} grid")
     for name, value in (("eta", eta), ("noise_std", noise_std), ("process_std", process_std)):
@@ -454,7 +457,6 @@ def random_problem(
     lam: float,
     seed: int,
     sigma: float = 1.0,
-    dt: float = 1.0,
 ) -> SmootherProblem:
     """A seeded random smoothing instance for gradient and adjoint checks.
 
@@ -463,6 +465,9 @@ def random_problem(
     fixture; not meant to resemble real data.
     """
     rng = np.random.default_rng(seed)
+    for name, value in (("p_per_bin", p_per_bin), ("trust_edges", trust_edges)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if p_per_bin > m * n:
         raise ValueError(f"p_per_bin={p_per_bin} exceeds the {m}x{n} grid")
     bins = []
@@ -488,7 +493,7 @@ def random_problem(
     pairs = _random_edges(rng, m, min(trust_edges, m * (m - 1) // 2))
     trust = TrustTimeline(m, N, pairs[:, 0], pairs[:, 1], np.zeros_like(pairs[:, 0]))
 
-    config = SmootherConfig(k=k, sigma=sigma, dt=dt, lam=lam, seed=seed)
+    config = SmootherConfig(k=k, sigma=sigma, lam=lam, seed=seed)
     laplacians = build_timeline_laplacians(trust) if lam > 0 else None
     return SmootherProblem(train, factors, laplacians, config)
 

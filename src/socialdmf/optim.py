@@ -193,8 +193,8 @@ def finite_diff_check(
     maximum relative discrepancy, where each comparison is scaled by
     ``max(1, |analytic|, |numeric|)``.
     """
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     if n_directions < 1:
         raise ValueError(f"n_directions must be >= 1, got {n_directions}")
     x = np.asarray(x, dtype=np.float64)

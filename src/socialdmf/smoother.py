@@ -10,10 +10,10 @@ minimizing
 over the flat state x described in :mod:`socialdmf.domain`. H predicts each
 observed rating as the inner product of a user's position row with the item's
 fixed factor row, G chains consecutive bins through a constant-velocity
-transition, Qinv is the blockwise closed-form inverse process covariance
-that ``config.dt`` fixes, and L applies each bin's graph Laplacian to the
-position block. All operators act in O(N k (m + p + edges)) time; nothing
-of size m x n is ever formed.
+transition over bins one time unit apart, Qinv is the blockwise inverse
+process covariance, and L applies each bin's graph Laplacian to the position
+block. All operators act in O(N k (m + p + edges)) time; nothing of size
+m x n is ever formed.
 
 The anchor w is zero except in its first position block, which carries the
 static initialization of bin 0 propagated through one transition from rest.
@@ -33,7 +33,6 @@ from .domain import (
     RatingsTimeline,
     SmootherConfig,
     SmootherState,
-    _process_noise,
 )
 from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
 
@@ -41,6 +40,14 @@ from .laplacian import LaplacianOperator, apply_laplacian, laplacian_quadratic
 # keep numpy's per-call overhead small, few enough to bound the build's
 # temporaries and to give every thread work at the benchmark shapes.
 PRECONDITIONER_CHUNK = 128
+
+# The constant-velocity prior in the (velocity, position) order of the state's
+# blocks, for bins one time unit apart and velocities counted per bin: F sends
+# (vel, pos) to (vel, pos + vel), and Q_INV inverts the integrated white
+# acceleration noise [[1, 1/2], [1/2, 1/3]]. Another spacing s would only
+# scale Q_INV by s**-3, which sigma * s**-1.5 and lam * s**3 reproduce.
+Q_INV = np.array([[4.0, -6.0], [-6.0, 12.0]])
+F = np.array([[1.0, 0.0], [1.0, 1.0]])
 
 
 class SmootherProblem:
@@ -142,29 +149,27 @@ def apply_measurement_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.nda
 def apply_process(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     """The block lower-bidiagonal transition operator G applied to x.
 
-    Bin 0 maps to itself; bin t maps to ``x_t - G x_{t-1}`` where the
-    constant-velocity transition sends (vel, pos) to (vel, pos + dt * vel).
+    Bin 0 maps to itself; bin t maps to ``x_t - F x_{t-1}`` where the
+    constant-velocity transition :data:`F` sends (vel, pos) to (vel, pos + vel).
     """
-    dt = problem.config.dt
     X = _blocks(problem, x)
     out = np.empty_like(X)
     out[0] = X[0]
     out[1:, 0] = X[1:, 0] - X[:-1, 0]
-    out[1:, 1] = X[1:, 1] - (X[:-1, 1] + dt * X[:-1, 0])
+    out[1:, 1] = X[1:, 1] - (X[:-1, 1] + X[:-1, 0])
     return out.reshape(-1)
 
 
 def apply_process_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`apply_process`.
 
-    Bin N-1 maps to itself; bin t maps to ``r_t - G' r_{t+1}`` where the
-    transposed transition sends (vel, pos) to (vel + dt * pos, pos).
+    Bin N-1 maps to itself; bin t maps to ``r_t - F' r_{t+1}`` where the
+    transposed transition sends (vel, pos) to (vel + pos, pos).
     """
-    dt = problem.config.dt
     R = _blocks(problem, r)
     out = np.empty_like(R)
     out[-1] = R[-1]
-    out[:-1, 0] = R[:-1, 0] - (R[1:, 0] + dt * R[1:, 1])
+    out[:-1, 0] = R[:-1, 0] - (R[1:, 0] + R[1:, 1])
     out[:-1, 1] = R[:-1, 1] - R[1:, 1]
     return out.reshape(-1)
 
@@ -172,14 +177,13 @@ def apply_process_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.ndarray
 def apply_qinv(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
     """Apply the blockwise inverse process covariance.
 
-    Within each bin the 2x2 inverse noise block couples the velocity and
-    position coordinates of every (user, latent) pair.
+    Within each bin the 2x2 inverse noise block :data:`Q_INV` couples the
+    velocity and position coordinates of every (user, latent) pair.
     """
-    qi = _process_noise(problem.config.dt)
     R = _blocks(problem, r)
     out = np.empty_like(R)
-    out[:, 0] = qi[0, 0] * R[:, 0] + qi[0, 1] * R[:, 1]
-    out[:, 1] = qi[1, 0] * R[:, 0] + qi[1, 1] * R[:, 1]
+    out[:, 0] = Q_INV[0, 0] * R[:, 0] + Q_INV[0, 1] * R[:, 1]
+    out[:, 1] = Q_INV[1, 0] * R[:, 0] + Q_INV[1, 1] * R[:, 1]
     return out.reshape(-1)
 
 
@@ -271,19 +275,16 @@ def objective_and_gradient(problem: SmootherProblem, x: np.ndarray) -> tuple[flo
     return meas + proc + social, grad
 
 
-def _time_stencil(problem: SmootherProblem) -> tuple[np.ndarray, np.ndarray]:
-    """One user's process Hessian ``G' Qinv G`` per latent coordinate.
+def _time_stencil(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """One user's process Hessian ``G' Qinv G`` per latent coordinate, over N bins.
 
-    Returns the (N, 2, 2) diagonal blocks ``a_t = Qinv + F' Qinv F``
-    (``Qinv`` for the last bin) over (velocity, position), F the
-    constant-velocity transition, and the 2-by-2 block ``-F' Qinv`` that
-    couples bins t and t+1.
+    Returns the (N, 2, 2) diagonal blocks ``a_t = Q_INV + F' Q_INV F``
+    (``Q_INV`` for the last bin) over (velocity, position), and the 2-by-2
+    block ``-F' Q_INV`` that couples bins t and t+1.
     """
-    q_inv = _process_noise(problem.config.dt)
-    F = np.array([[1.0, 0.0], [problem.config.dt, 1.0]])
-    diagonal = np.repeat((q_inv + F.T @ q_inv @ F)[None], problem.N, axis=0)
-    diagonal[-1] = q_inv
-    return diagonal, -F.T @ q_inv
+    diagonal = np.repeat((Q_INV + F.T @ Q_INV @ F)[None], N, axis=0)
+    diagonal[-1] = Q_INV
+    return diagonal, -F.T @ Q_INV
 
 
 def _spd_inverse(S: np.ndarray) -> np.ndarray:
@@ -346,7 +347,7 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     """
     N, m, k = problem.N, problem.m, problem.k
     cfg = problem.config
-    diagonal, off = _time_stencil(problem)
+    diagonal, off = _time_stencil(N)
     eye = np.eye(k)
     coupling = np.kron(off, eye)  # block (t, t+1) of every user
     count = -(-m // PRECONDITIONER_CHUNK)

@@ -32,20 +32,19 @@ def dense_measurement(problem: SmootherProblem) -> np.ndarray:
     return np.asarray(rows)
 
 
-def dense_transition(problem: SmootherProblem) -> np.ndarray:
-    """One bin-to-bin transition block G (2mk x 2mk)."""
+def dense_transition(problem: SmootherProblem, dt: float = 1.0) -> np.ndarray:
+    """One bin-to-bin transition block G (2mk x 2mk) for bins ``dt`` apart."""
     mk = problem.m * problem.k
-    dt = problem.config.dt
     I = np.eye(mk)
     Z = np.zeros((mk, mk))
     return np.block([[I, Z], [dt * I, I]])
 
 
-def dense_process(problem: SmootherProblem) -> np.ndarray:
+def dense_process(problem: SmootherProblem, dt: float = 1.0) -> np.ndarray:
     """The block lower-bidiagonal process matrix: identity diagonal, -G below."""
     mk = problem.m * problem.k
     D = problem.N * 2 * mk
-    G = dense_transition(problem)
+    G = dense_transition(problem, dt)
     out = np.eye(D)
     for t in range(1, problem.N):
         r = t * 2 * mk
@@ -54,18 +53,18 @@ def dense_process(problem: SmootherProblem) -> np.ndarray:
     return out
 
 
-def process_noise_covariance(dt: float) -> np.ndarray:
+def process_noise_covariance(dt: float = 1.0) -> np.ndarray:
     """One bin's constant-velocity noise covariance q over (velocity, position)."""
     return np.array([[dt, dt**2 / 2.0], [dt**2 / 2.0, dt**3 / 3.0]])
 
 
-def dense_qinv(problem: SmootherProblem) -> np.ndarray:
+def dense_qinv(problem: SmootherProblem, dt: float = 1.0) -> np.ndarray:
     """Block-diagonal inverse process covariance: q^-1 (x) I_mk per bin.
 
-    q is inverted numerically, not by the production closed form.
+    q is inverted numerically, not taken from the production constant.
     """
     mk = problem.m * problem.k
-    block = np.kron(np.linalg.inv(process_noise_covariance(problem.config.dt)), np.eye(mk))
+    block = np.kron(np.linalg.inv(process_noise_covariance(dt)), np.eye(mk))
     out = np.zeros((problem.N * 2 * mk, problem.N * 2 * mk))
     for t in range(problem.N):
         out[t * 2 * mk : (t + 1) * 2 * mk, t * 2 * mk : (t + 1) * 2 * mk] = block
@@ -133,12 +132,12 @@ def dense_gradient(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     )
 
 
-def normal_equations_solution(problem: SmootherProblem) -> np.ndarray:
-    """The exact minimizer from the dense normal equations."""
+def normal_equations_solution(problem: SmootherProblem, dt: float = 1.0) -> np.ndarray:
+    """The exact minimizer from the dense normal equations, for bins ``dt`` apart."""
     H = dense_measurement(problem)
     z = dense_z(problem)
-    G = dense_process(problem)
-    Qi = dense_qinv(problem)
+    G = dense_process(problem, dt)
+    Qi = dense_qinv(problem, dt)
     S = dense_social(problem)
     w = dense_anchor(problem)
     sigma2 = problem.config.sigma**2

@@ -260,18 +260,26 @@ def test_checkgrad_fails_with_unreachable_tolerance():
     assert rc == 1
 
 
-def test_checkgrad_passes_at_a_spacing_far_from_one(capsys):
-    # The gradient check holds far from dt = 1, on both sides; at a small
-    # spacing the default step must be large enough to beat rounding.
-    for dt in ("5e3", "1e-3", "1e-4"):
-        assert main(["checkgrad", "--dt", dt]) == 0, dt
-        assert "max_relative_error" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("flag,value", [("sigma", "1e200"), ("sigma", "1e-200"), ("dt", "1e-100"), ("dt", "1e80")])
+@pytest.mark.parametrize("flag,value", [("sigma", "1e200"), ("sigma", "1e-200")])
 def test_checkgrad_rejects_a_scale_whose_square_or_noise_leaves_float64(flag, value, capsys):
     assert main(["checkgrad", f"--{flag}", value]) == 2
     assert f"error: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("tol", "-1"),
+        ("tol", "nan"),
+        ("tol", "inf"),  # would pass whatever the error
+        ("step", "inf"),
+        ("trust-edges", "-1"),
+        ("p-per-bin", "-1"),
+    ],
+)
+def test_checkgrad_rejects_an_out_of_range_parameter(flag, value, capsys):
+    assert main(["checkgrad", f"--{flag}", value]) == 2
+    assert f"error: {flag.replace('-', '_')}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +583,7 @@ REQUIRED = {
 
 MODEL_OPTIONS = {f.name for f in fields(SmootherConfig)}
 
-# The options each command's handler reads: 72 registrations over the seven commands.
+# The options each command's handler reads: 69 registrations over the seven commands.
 OPTIONS = {
     "ingest": {"ratings", "trust", "cutoffs", "min_ratings", "delimiter", "date_format", "out", "config"},
     "synth": {"m", "n", "k", "bins", "samples_per_bin", "trust_edges", "eta", "noise_std", "out", "seed",
@@ -583,9 +591,9 @@ OPTIONS = {
     "factorize": {"data", "split_fraction", "iters", "out", "k", "gamma", "seed", "config"},
     "smooth": {"data", "split_fraction", "factors", "out", "trace_out", *MODEL_OPTIONS, "config"},
     "evaluate": {"data", "split_fraction", "factors", "seed", "config"},
-    "sweep": {"data", "split_fraction", "ks", "lambdas", "out", "sigma", "dt", "gamma", "max_iter", "grad_tol",
+    "sweep": {"data", "split_fraction", "ks", "lambdas", "out", "sigma", "gamma", "max_iter", "grad_tol",
               "seed", "threads", "config"},
-    "checkgrad": {"m", "n", "bins", "p_per_bin", "trust_edges", "step", "tol", "k", "lam", "sigma", "dt", "seed",
+    "checkgrad": {"m", "n", "bins", "p_per_bin", "trust_edges", "step", "tol", "k", "lam", "sigma", "seed",
                   "config"},
 }
 
@@ -612,6 +620,8 @@ def test_each_command_registers_only_the_options_it_reads(command):
         ("evaluate", "--threads 2"),
         ("factorize", "--threads 2"),
         ("factorize", "--no-align"),
+        ("smooth", "--dt"),  # bins are one time unit apart
+        ("checkgrad", "--dt"),
     ],
 )
 def test_an_option_the_command_does_not_read_exits_2(command, flag, capsys):

@@ -10,38 +10,36 @@ from socialdmf import (
     TrustTimeline,
     save_dataset,
 )
-from socialdmf.domain import _process_noise
+from socialdmf.smoother import Q_INV
 
 from oracles import process_noise_covariance
 
 
 def test_noise_block_unit_spacing():
-    q_inv = _process_noise(1.0)
-    np.testing.assert_allclose(process_noise_covariance(1.0), [[1.0, 0.5], [0.5, 1.0 / 3.0]])
-    np.testing.assert_allclose(q_inv, [[4.0, -6.0], [-6.0, 12.0]])
+    np.testing.assert_allclose(process_noise_covariance(), [[1.0, 0.5], [0.5, 1.0 / 3.0]])
+    np.testing.assert_allclose(Q_INV, np.linalg.inv(process_noise_covariance()), rtol=1e-12)
+    np.testing.assert_array_equal(Q_INV, [[4.0, -6.0], [-6.0, 12.0]])
 
 
 @pytest.mark.parametrize("dt", [0.1, 0.5, 1.0, 2.0, 10.0])
 def test_noise_block_inverse_oracle(dt):
-    q, q_inv = process_noise_covariance(dt), _process_noise(dt)
-    np.testing.assert_allclose(q_inv, np.linalg.inv(q), rtol=1e-10)
-    np.testing.assert_allclose(q @ q_inv, np.eye(2), atol=1e-12)
-
-
-def test_noise_block_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        _process_noise(0.0)
-    with pytest.raises(ValueError):
-        _process_noise(-1.0)
+    # Counting velocities per bin (D = diag(dt, 1)) turns the covariance of
+    # bins dt apart into dt**3 times the unit one, so its inverse is Q_INV / dt**3.
+    D = np.diag([dt, 1.0])
+    q = D @ process_noise_covariance(dt) @ D
+    np.testing.assert_allclose(Q_INV / dt**3, np.linalg.inv(q), rtol=1e-10)
+    np.testing.assert_allclose(q @ Q_INV / dt**3, np.eye(2), atol=1e-12)
 
 
 @pytest.mark.parametrize("e", range(-40, 41))
 def test_config_accepts_every_spacing_with_a_finite_noise_inverse(e):
-    # Far from dt = 1 the entries of q @ q_inv cancel terms of size about
-    # 6/dt or 2 dt, so only the range of q_inv can decide validity.
+    # A spacing dt is the unit-spacing config at sigma * dt**-1.5 and
+    # lam * dt**3; over dt = 1e-10 ... 1e10 that config stays valid.
     dt = 10.0 ** (e / 4)
-    assert SmootherConfig(k=2, dt=dt).dt == dt
-    assert np.all(np.isfinite(_process_noise(dt)))
+    sigma, lam = 0.7 * dt**-1.5, 0.3 * dt**3
+    cfg = SmootherConfig(k=2, sigma=sigma, lam=lam)
+    assert cfg.sigma == sigma and cfg.lam == lam
+    assert np.all(np.isfinite(Q_INV / dt**3)) and np.all(Q_INV / dt**3)
 
 
 def _pack(blocks):
@@ -307,10 +305,11 @@ def test_factor_timeline_uniform_shapes():
 
 def test_config_validation():
     cfg = SmootherConfig(k=5)
-    assert cfg.dt == 1.0 and cfg.lam == 0.0
+    assert cfg.sigma == 1.0 and cfg.lam == 0.0
+    with pytest.raises(TypeError):  # bins are one time unit apart
+        SmootherConfig(k=2, dt=2.0)
     for kwargs in (
         dict(k=0),
-        dict(k=2, dt=0.0),
         dict(k=2, sigma=-1.0),
         dict(k=2, lam=-0.1),
         dict(k=2, gamma=0.0),
@@ -318,8 +317,6 @@ def test_config_validation():
         # Non-finite values: NaN fails every comparison, inf is no scale.
         dict(k=2, lam=float("nan")),
         dict(k=2, lam=float("inf")),
-        dict(k=2, dt=float("nan")),
-        dict(k=2, dt=float("inf")),
         dict(k=2, sigma=float("nan")),
         dict(k=2, sigma=float("inf")),
         dict(k=2, gamma=float("nan")),
@@ -328,12 +325,10 @@ def test_config_validation():
         dict(k=2, grad_tol=float("inf")),
         dict(k=2, max_iter=0),
         dict(k=2, seed=-1),
-        # Finite values whose sigma**2 or process noise leave float64 range.
+        # Finite values whose sigma**2 leaves float64 range.
         dict(k=2, sigma=1e200),
         dict(k=2, sigma=1e-200),
         dict(k=2, sigma=1e-160),  # sigma**2 is subnormal, its reciprocal inf
-        dict(k=2, dt=1e-100),
-        dict(k=2, dt=1e80),
     ):
         with pytest.raises(ValueError):
             SmootherConfig(**kwargs)

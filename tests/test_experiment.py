@@ -254,6 +254,14 @@ def test_synth_rejects_oversampling():
         synth_generate(3, 3, 2, 2, 10, 0, eta=0.0, noise_std=0.1, seed=0)
     with pytest.raises(ValueError, match="trust_edges"):
         synth_generate(3, 3, 2, 2, 5, 99, eta=0.0, noise_std=0.1, seed=0)
+    # Negative sizes are named, not read as an edge count or a numpy shape.
+    for trust_edges in (-1, -7):
+        with pytest.raises(ValueError, match="trust_edges"):
+            synth_generate(3, 3, 2, 2, 5, trust_edges, eta=0.0, noise_std=0.1, seed=0)
+    with pytest.raises(ValueError, match="samples_per_bin"):
+        synth_generate(3, 3, 2, 2, -1, 0, eta=0.0, noise_std=0.1, seed=0)
+    with pytest.raises(ValueError, match="p_per_bin"):
+        random_problem(m=3, n=3, k=2, N=2, p_per_bin=-1, trust_edges=0, lam=0.0, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,21 @@ from socialdmf.smoother import block_preconditioner
 import oracles
 
 
-def tiny_problem(seed=0, lam=0.01, sigma=1.0, dt=1.0, m=5, n=4, k=2, N=3, p=6):
+def tiny_problem(seed=0, lam=0.01, sigma=1.0, m=5, n=4, k=2, N=3, p=6):
     return random_problem(
         m=m, n=n, k=k, N=N, p_per_bin=p, trust_edges=4, lam=lam,
-        seed=seed, sigma=sigma, dt=dt,
+        seed=seed, sigma=sigma,
     )
 
 
-def _edge_case_problem(case, seed, lam, sigma, dt):
-    """A tiny problem, optionally edited into one of the edge cases."""
-    problem = tiny_problem(seed=seed, lam=lam, sigma=sigma, dt=dt, N=1 if case == "N=1" else 3)
+def _edge_case_problem(case, seed, lam, sigma, dt=1.0):
+    """A tiny problem, optionally edited into one of the edge cases.
+
+    Bins ``dt`` apart are taken as the unit-spacing problem at
+    ``sigma * dt**-1.5`` and ``lam * dt**3``, which has the same positions
+    (``test_a_spacing_is_a_rescaling_of_sigma_and_lambda``).
+    """
+    problem = tiny_problem(seed=seed, lam=lam * dt**3, sigma=sigma * dt**-1.5, N=1 if case == "N=1" else 3)
     bins = [problem.train.bin(t) for t in range(problem.N)]
     laplacians = problem.laplacians
     if case == "empty bin":
@@ -82,7 +87,7 @@ def test_objective_and_gradient_match_dense(seed, lam, sigma, dt, case):
     np.testing.assert_allclose(f, f_dense, rtol=1e-10)
     np.testing.assert_allclose(g, g_dense, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(g_dense).max()))
     r = apply_measurement(problem, x) - oracles.dense_z(problem)
-    assert objective_terms(problem, x)[0] == 0.5 / sigma**2 * float(r @ r)
+    assert objective_terms(problem, x)[0] == 0.5 / problem.config.sigma**2 * float(r @ r)
     np.testing.assert_array_equal(problem.H.toarray(), oracles.dense_measurement(problem))
 
 
@@ -102,10 +107,11 @@ PRECONDITIONER_CASES = [
 @pytest.mark.parametrize("lam,dt,case", PRECONDITIONER_CASES)
 def test_preconditioner_inverts_the_hessian_without_adjacency(seed, lam, dt, case):
     problem = _edge_case_problem(case, seed, lam, 0.7, dt)
+    sigma, lam = problem.config.sigma, problem.config.lam
     H = oracles.dense_measurement(problem)
     G = oracles.dense_process(problem)
     S = oracles.dense_social(problem)
-    A = H.T @ H / 0.7**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
+    A = H.T @ H / sigma**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
     # The social matrix is kron(D - W, I_k) on positions; keep only its diagonal D.
     P = A - lam * S + lam * np.diag(np.diag(S))
     # The coarse term reads only Z' r, the per-(bin, velocity/position,
@@ -136,10 +142,11 @@ def test_spd_inverse_matches_a_general_inverse(n):
 )
 def test_coarse_correction_adds_the_all_users_mode(seed, lam, dt, case):
     problem = _edge_case_problem(case, seed, lam, 0.7, dt)
+    sigma, lam = problem.config.sigma, problem.config.lam
     H = oracles.dense_measurement(problem)
     G = oracles.dense_process(problem)
     S = oracles.dense_social(problem)
-    A = H.T @ H / 0.7**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
+    A = H.T @ H / sigma**2 + G.T @ oracles.dense_qinv(problem) @ G + lam * S
     # The social matrix is kron(D - W, I_k) on positions; P keeps only its diagonal D.
     P = A - lam * S + lam * np.diag(np.diag(S))
     # One column per (bin, velocity/position, coordinate), equal for every
@@ -233,6 +240,30 @@ def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, c
             assert result.iterations <= 2
 
 
+@pytest.mark.parametrize("dt", [0.5, 2.0, 3.7])
+def test_a_spacing_is_a_rescaling_of_sigma_and_lambda(dt):
+    # Bins dt apart scale the process covariance to dt**3 D q D, D =
+    # diag(1/dt, 1), so with velocities counted per bin (times dt) the prior
+    # is the unit-spacing one over dt**3: the same positions as
+    # sigma * dt**-1.5 and lam * dt**3 at unit spacing.
+    sigma, lam = 0.7, 0.3
+    spaced = tiny_problem(seed=0, lam=lam, sigma=sigma)
+    expected = oracles.normal_equations_solution(spaced, dt)
+    problem = tiny_problem(seed=0, lam=lam * dt**3, sigma=sigma * dt**-1.5)
+    result = lbfgs_minimize(
+        lambda x: objective_and_gradient(problem, x),
+        np.zeros(problem.state_size),
+        memory=5,
+        grad_tol=1e-10,
+        precondition=block_preconditioner(problem),
+    )
+    assert result.status == "converged"
+    velocities, positions = result.x.reshape(problem.N, 2, -1).transpose(1, 0, 2)
+    expected_velocities, expected_positions = expected.reshape(problem.N, 2, -1).transpose(1, 0, 2)
+    np.testing.assert_allclose(positions, expected_positions, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(velocities, dt * expected_velocities, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize(
     "lam,dt,case",
@@ -290,15 +321,20 @@ def test_measurement_matches_dense(seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("dt", [1.0, 0.5])
 def test_process_matches_dense(seed, dt):
-    problem = tiny_problem(seed=seed, dt=dt)
+    # For bins dt apart the oracle counts velocities per time unit; scaling
+    # them by dt (D below) gives the unit-spacing operators: D G D^-1 and
+    # dt**3 D^-1 Qi D^-1.
+    problem = tiny_problem(seed=seed)
+    mk = problem.m * problem.k
+    d = np.tile(np.r_[np.full(mk, dt), np.ones(mk)], problem.N)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(problem.state_size)
-    G = oracles.dense_process(problem)
-    np.testing.assert_allclose(apply_process(problem, x), G @ x, rtol=1e-12, atol=1e-12)
+    G = oracles.dense_process(problem, dt)
+    np.testing.assert_allclose(apply_process(problem, d * x), d * (G @ x), rtol=1e-12, atol=1e-12)
     r = rng.standard_normal(problem.state_size)
-    np.testing.assert_allclose(apply_process_adjoint(problem, r), G.T @ r, rtol=1e-12, atol=1e-12)
-    Qi = oracles.dense_qinv(problem)
-    np.testing.assert_allclose(apply_qinv(problem, r), Qi @ r, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(apply_process_adjoint(problem, r), (G.T @ (d * r)) / d, rtol=1e-12, atol=1e-12)
+    Qi = oracles.dense_qinv(problem, dt)
+    np.testing.assert_allclose(apply_qinv(problem, r), dt**3 * (Qi @ (r / d)) / d, rtol=1e-12, atol=1e-12)
 
 
 def test_measurement_never_builds_the_dense_grid():
