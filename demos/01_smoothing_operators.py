@@ -52,20 +52,19 @@ def main():
     )
     print(f"gradient vs central differences: {err:.2e}")
 
-    def solve(memory, precondition=None):
+    def solve(precondition=None):
         return lbfgs_minimize(
             lambda v: objective_and_gradient(problem, v),
             np.zeros(problem.state_size),
-            memory=memory,
             max_iter=500,
             grad_tol=1e-7,
             precondition=precondition,
         )
 
-    plain = solve(memory=15)
-    # As run_dynamic solves: preconditioned, with one curvature pair (more
-    # would not change a preconditioned exact-step solve).
-    result = solve(memory=1, precondition=block_preconditioner(problem))
+    # One curvature pair either way; run_dynamic solves preconditioned,
+    # which makes the iterates those of preconditioned conjugate gradients.
+    plain = solve()
+    result = solve(precondition=block_preconditioner(problem))
     print(f"optimizer: {result.status} after {result.iterations} iterations "
           f"preconditioned, {plain.iterations} without ({plain.status}), "
           f"f {result.trace[0][1]:.4f} -> {result.f:.6f}")

@@ -151,11 +151,10 @@ def run_dynamic(
 
     The optimizer warm-starts from the static factors (positions) with zero
     velocities. Item factors stay fixed at their per-bin static estimates.
-    L-BFGS is preconditioned with :func:`~socialdmf.smoother.block_preconditioner`
-    (at ``lam > 0`` with its all-users coarse term), and keeps one curvature
-    pair: with a fixed preconditioner and exact steps its iterates are, up
-    to rounding, those of preconditioned conjugate gradients whatever the
-    memory, so more pairs would only cost state vectors.
+    The one-pair L-BFGS is preconditioned with
+    :func:`~socialdmf.smoother.block_preconditioner` (at ``lam > 0`` with its
+    all-users coarse term), so its iterates are those of preconditioned
+    conjugate gradients.
     The result's status is "ok" only when the optimizer converged; otherwise
     it is the optimizer's own status, e.g. "max_iter".
     """
@@ -175,7 +174,6 @@ def run_dynamic(
     result = lbfgs_minimize(
         lambda x: objective_and_gradient(problem, x),
         _warm_start(factors),
-        memory=1,
         max_iter=config.max_iter,
         grad_tol=config.grad_tol,
         precondition=block_preconditioner(problem),

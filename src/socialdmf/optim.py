@@ -1,4 +1,4 @@
-"""Matrix-free L-BFGS with exact steps on a convex quadratic, plus a gradient checker.
+"""Matrix-free one-pair L-BFGS with exact steps on a convex quadratic, plus a gradient checker.
 
 The minimizer touches the problem only through a callback returning
 ``(f, grad)``, so it scales to states that exist solely as flat vectors.
@@ -7,7 +7,6 @@ The minimizer touches the problem only through a callback returning
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -25,7 +24,8 @@ class MinimizeResult:
     ``trace`` holds one ``(iteration, f, grad_norm, step)`` row per iterate,
     starting with the initial point at step 0; ``step`` is the exact step
     length. ``f`` and ``grad_norm`` are updated from the quadratic model, not
-    re-evaluated, and ``n_evaluations`` is ``iterations + 1``.
+    re-evaluated: the objective is evaluated once per iteration plus once at
+    the start.
     """
 
     x: np.ndarray
@@ -34,11 +34,14 @@ class MinimizeResult:
     iterations: int
     status: str
     trace: list[tuple[int, float, float, float]] = field(repr=False, default_factory=list)
-    n_evaluations: int = 0
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+    @property
+    def n_evaluations(self) -> int:
+        return self.iterations + 1
 
 
 def write_trace(path, trace: Sequence[tuple[int, float, float, float]]) -> None:
@@ -55,41 +58,23 @@ def _check_pair(f: float, g: np.ndarray) -> None:
         raise NumericalError("objective or gradient is non-finite")
 
 
-def _direction(pairs: deque, g: np.ndarray, precondition) -> np.ndarray:
-    """The L-BFGS direction ``-H g`` by the two-loop recursion over ``pairs``.
-
-    A function of its own so that its loop variables, which name the pairs'
-    vectors, are gone once the direction is returned.
-    """
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        alphas.append(a)
-        q -= a * y
-    if precondition is not None:
-        q = precondition(q)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return np.negative(q, out=q)
-
-
 def lbfgs_minimize(
     evaluate: Evaluate,
     x0: np.ndarray,
-    memory: int = 10,
     max_iter: int = 500,
     grad_tol: float = 1e-6,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> MinimizeResult:
-    """Minimize a strictly convex quadratic with limited-memory BFGS.
+    """Minimize a strictly convex quadratic with one-pair L-BFGS.
 
-    Each iteration evaluates the gradient once, at ``x + d`` for the two-loop
+    Each iteration evaluates the gradient once, at ``x + d`` for the
     direction ``d``. On a quadratic the gradient difference is ``Hd``, which
     gives the exact step ``-g'd / d'Hd``, the new gradient and the new
-    objective without a line search; the iterates are those of conjugate
-    gradients (Nazareth 1979).
+    objective without a line search. The direction is the two-loop recursion
+    over the last step's curvature pair alone, which with exact steps and a
+    fixed preconditioner makes the iterates those of preconditioned
+    conjugate gradients (Nazareth 1979). The pair is dropped once the
+    direction is formed, so none is held while ``evaluate`` runs.
 
     Parameters
     ----------
@@ -98,20 +83,10 @@ def lbfgs_minimize(
         positive definite.
     x0 : ndarray
         Starting point.
-    memory : int
-        Number of curvature pairs kept for the two-loop recursion. In exact
-        arithmetic the iterates are those of (preconditioned) conjugate
-        gradients for any memory. A good ``precondition`` converges before
-        rounding can tell memories apart, so there pairs beyond the first
-        change nothing but cost two state vectors each and four vector
-        operations per iteration; a slow unpreconditioned solve can differ
-        by an iteration or two between memories. The oldest pair is dropped
-        as soon as the direction is formed, so at most ``memory - 1`` pairs
-        are held while ``evaluate`` runs.
     max_iter : int
         Iteration cap.
     grad_tol : float
-        Stop once ``||grad|| / max(1, ||x||) <= grad_tol``.
+        Stop once ``||grad|| / max(1, ||x||) <= grad_tol``; positive and finite.
     precondition : callable, optional
         A fixed symmetric positive definite ``v -> P^-1 v``, P close to the
         Hessian: the two-loop recursion's initial inverse Hessian, which is
@@ -124,8 +99,8 @@ def lbfgs_minimize(
         a curvature ``d'Hd`` that is not positive and finite (the function is
         not a strictly convex quadratic), raises ``NumericalError``.
     """
-    if memory < 1 or max_iter < 1 or not grad_tol > 0:
-        raise ValueError("memory and max_iter must be >= 1 and grad_tol positive")
+    if max_iter < 1 or not 0 < grad_tol < np.inf:
+        raise ValueError("max_iter must be >= 1 and grad_tol positive and finite")
     x = np.array(x0, dtype=np.float64)
     # Not read again: where the caller keeps no reference of its own, the
     # starting point is freed here rather than held through the solve.
@@ -137,36 +112,42 @@ def lbfgs_minimize(
     g = np.array(g, dtype=np.float64)
     gnorm = float(np.linalg.norm(g))
     trace: list[tuple[int, float, float, float]] = [(0, f, gnorm, 0.0)]
-    pairs: deque = deque()
+    s = y = None  # the last step's curvature pair; none before the first step
     iteration = 0
 
     def converged() -> bool:
         return gnorm / max(1.0, float(np.linalg.norm(x))) <= grad_tol
 
     while iteration < max_iter and not converged():
-        d = _direction(pairs, g, precondition)
-        # The oldest pair is read no more once d is formed: drop it now
-        # rather than on append, so it is not held through the evaluation.
-        if len(pairs) == memory:
-            pairs.popleft()
+        # The two-loop recursion over the one pair, in place: d = -H g.
+        d = g.copy()
+        if s is not None:
+            a = rho * float(s @ d)
+            d -= a * y
+        if precondition is not None:
+            d = precondition(d)
+        if s is not None:
+            d += (a - rho * float(y @ d)) * s
+        # Read no more: dropped now, so the pair is not held through the evaluation.
+        s = y = None
+        np.negative(d, out=d)
         f_trial, g_trial = evaluate(x + d)
         _check_pair(f_trial, g_trial)
         hd = g_trial - g
+        del g_trial
         curv = float(hd @ d)
         if not 0.0 < curv < np.inf:
             raise NumericalError(f"curvature d'Hd = {curv:.3e}: not a strictly convex quadratic")
         gd = float(g @ d)
         alpha = -gd / curv
         # Scaled in place, d and hd become the pair's step s and gradient
-        # change y. Dropping the names below leaves the pair referenced by
-        # ``pairs`` alone, so popping it frees its vectors, and no trial
-        # gradient is held into the next evaluation.
+        # change y, and only the pair's names keep them.
         np.multiply(d, alpha, out=d)
         np.multiply(hd, alpha, out=hd)
-        pairs.append((d, hd, 1.0 / (alpha * alpha * curv)))
         x += d
         g += hd
-        del d, hd, g_trial
+        s, y, rho = d, hd, 1.0 / (alpha * alpha * curv)
+        del d, hd
         f += 0.5 * alpha * gd
         gnorm = float(np.linalg.norm(g))
         iteration += 1
@@ -174,8 +155,7 @@ def lbfgs_minimize(
 
     return MinimizeResult(
         x=x, f=f, grad_norm=gnorm, iterations=iteration,
-        status="converged" if converged() else "max_iter",
-        trace=trace, n_evaluations=iteration + 1,
+        status="converged" if converged() else "max_iter", trace=trace,
     )
 
 

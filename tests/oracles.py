@@ -132,8 +132,11 @@ def dense_gradient(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     )
 
 
-def normal_equations_solution(problem: SmootherProblem, dt: float = 1.0) -> np.ndarray:
-    """The exact minimizer from the dense normal equations, for bins ``dt`` apart."""
+def normal_equations(problem: SmootherProblem, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The dense Hessian ``A`` and right-hand side ``b``, for bins ``dt`` apart.
+
+    The objective is ``x'Ax / 2 - b'x`` plus a constant.
+    """
     H = dense_measurement(problem)
     z = dense_z(problem)
     G = dense_process(problem, dt)
@@ -144,7 +147,12 @@ def normal_equations_solution(problem: SmootherProblem, dt: float = 1.0) -> np.n
     lam = problem.config.lam
     A = (1.0 / sigma2) * (H.T @ H) + G.T @ Qi @ G + lam * S
     b = (1.0 / sigma2) * (H.T @ z) + G.T @ (Qi @ w)
-    return np.linalg.solve(A, b)
+    return A, b
+
+
+def normal_equations_solution(problem: SmootherProblem, dt: float = 1.0) -> np.ndarray:
+    """The exact minimizer from the dense normal equations, for bins ``dt`` apart."""
+    return np.linalg.solve(*normal_equations(problem, dt))
 
 
 def edge_sum_quadratic(W_dense: np.ndarray, U: np.ndarray) -> float:

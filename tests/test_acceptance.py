@@ -107,7 +107,7 @@ def test_optimizer_reaches_normal_equations_solution():
             result = lbfgs_minimize(
                 lambda x: objective_and_gradient(problem, x),
                 np.zeros(problem.state_size),
-                memory=20, max_iter=2000, grad_tol=1e-10,
+                max_iter=2000, grad_tol=1e-10,
             )
             worst = max(worst, abs(objective(problem, result.x) - f_star))
     _report(

@@ -33,14 +33,14 @@ def quadratic_problem(d, seed, cond=50.0):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_quadratic_converges_to_solver_solution(d, seed):
     evaluate, x_star, _, _ = quadratic_problem(d, seed)
-    result = lbfgs_minimize(evaluate, np.zeros(d), memory=d, max_iter=4 * d + 10, grad_tol=1e-6)
+    result = lbfgs_minimize(evaluate, np.zeros(d), max_iter=4 * d + 10, grad_tol=1e-6)
     assert result.converged
     np.testing.assert_allclose(result.x, x_star, rtol=1e-4, atol=1e-5)
 
 
 def test_matches_normal_equations_tightly():
     evaluate, x_star, A, b = quadratic_problem(30, seed=7, cond=200.0)
-    result = lbfgs_minimize(evaluate, np.zeros(30), memory=30, max_iter=500, grad_tol=1e-9)
+    result = lbfgs_minimize(evaluate, np.zeros(30), max_iter=500, grad_tol=1e-9)
     assert result.converged
     assert result.n_evaluations == result.iterations + 1
     f_opt = 0.5 * float(result.x @ (A @ result.x)) - float(b @ result.x)
@@ -50,7 +50,7 @@ def test_matches_normal_equations_tightly():
 
 def test_trace_objective_strictly_decreases():
     evaluate, _, _, _ = quadratic_problem(10, seed=3)
-    result = lbfgs_minimize(evaluate, np.ones(10), memory=10, max_iter=100, grad_tol=1e-10)
+    result = lbfgs_minimize(evaluate, np.ones(10), max_iter=100, grad_tol=1e-10)
     values = [row[1] for row in result.trace]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert result.trace[0][0] == 0 and result.trace[0][3] == 0.0
@@ -60,7 +60,7 @@ def test_trace_objective_strictly_decreases():
 def test_exact_inverse_hessian_preconditioner_converges_in_one_iteration():
     evaluate, x_star, A, _ = quadratic_problem(20, seed=5, cond=1e4)
     result = lbfgs_minimize(
-        evaluate, np.zeros(20), memory=5, precondition=lambda v: np.linalg.solve(A, v)
+        evaluate, np.zeros(20), precondition=lambda v: np.linalg.solve(A, v)
     )
     assert result.converged
     assert result.iterations == 1
@@ -78,9 +78,9 @@ def test_diagonal_preconditioner_cuts_iterations_on_a_badly_scaled_quadratic():
         return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
 
     diagonal = np.diag(A).copy()
-    plain = lbfgs_minimize(evaluate, np.zeros(40), memory=5, max_iter=2000)
+    plain = lbfgs_minimize(evaluate, np.zeros(40), max_iter=2000)
     jacobi = lbfgs_minimize(
-        evaluate, np.zeros(40), memory=5, max_iter=2000,
+        evaluate, np.zeros(40), max_iter=2000,
         precondition=lambda v: v / diagonal,
     )
     assert plain.converged and jacobi.converged
@@ -88,8 +88,7 @@ def test_diagonal_preconditioner_cuts_iterations_on_a_badly_scaled_quadratic():
     np.testing.assert_allclose(jacobi.x, np.linalg.solve(A, b), rtol=1e-4, atol=1e-6)
 
 
-@pytest.mark.parametrize("memory", [1, 2, 3])
-def test_evaluation_sees_at_most_memory_minus_one_pairs(memory):
+def test_evaluation_sees_no_curvature_pair():
     # The preconditioner's output becomes the iteration's direction and then
     # the step s of its curvature pair, so a weak reference to it shows
     # whether that pair is still held when a later evaluation runs.
@@ -107,10 +106,10 @@ def test_evaluation_sees_at_most_memory_minus_one_pairs(memory):
         held.append(sum(ref() is not None for ref in steps[:-1]))
         return evaluate(x)
 
-    result = lbfgs_minimize(counting, np.zeros(30), memory=memory, max_iter=200,
+    result = lbfgs_minimize(counting, np.zeros(30), max_iter=200,
                             grad_tol=1e-10, precondition=precondition)
-    assert result.converged and result.iterations > 2 * memory
-    assert max(held) == memory - 1
+    assert result.converged and result.iterations > 2
+    assert max(held) == 0
     np.testing.assert_allclose(result.x, x_star, rtol=1e-6, atol=1e-8)
 
 
@@ -141,7 +140,7 @@ def test_non_finite_objective_raises():
 def test_parameter_validation():
     evaluate = lambda x: (float(x @ x), 2 * x)
     with pytest.raises(ValueError):
-        lbfgs_minimize(evaluate, np.zeros(2), memory=0)
+        lbfgs_minimize(evaluate, np.zeros(2), grad_tol=np.inf)
     with pytest.raises(ValueError):
         lbfgs_minimize(evaluate, np.zeros(2), max_iter=0)
     with pytest.raises(ValueError):

@@ -227,7 +227,6 @@ def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, c
         result = lbfgs_minimize(
             lambda x: objective_and_gradient(problem, x),
             np.zeros(problem.state_size),
-            memory=5,
             grad_tol=grad_tol,
             precondition=precondition,
         )
@@ -253,7 +252,6 @@ def test_a_spacing_is_a_rescaling_of_sigma_and_lambda(dt):
     result = lbfgs_minimize(
         lambda x: objective_and_gradient(problem, x),
         np.zeros(problem.state_size),
-        memory=5,
         grad_tol=1e-10,
         precondition=block_preconditioner(problem),
     )
@@ -269,34 +267,34 @@ def test_a_spacing_is_a_rescaling_of_sigma_and_lambda(dt):
     "lam,dt,case",
     [*PRECONDITIONER_CASES, pytest.param(0.3, 1.0, "edgeless bin", id="edgeless-bin")],
 )
-def test_preconditioned_solve_does_not_depend_on_memory(seed, lam, dt, case):
-    # With a fixed preconditioner and exact steps, L-BFGS is preconditioned
-    # CG whatever its memory, so run_dynamic keeps one pair.
+def test_preconditioned_solve_is_pcg(seed, lam, dt, case):
+    # With a fixed preconditioner and exact steps, one-pair L-BFGS is
+    # preconditioned CG: run the textbook recurrence on the dense normal
+    # equations for as many iterations and compare the iterates.
     problem = _edge_case_problem(case, seed, lam, 0.7, dt)
     precondition = block_preconditioner(problem)
+    A, b = oracles.normal_equations(problem)
     for grad_tol in (1e-6, 1e-10):
-        runs = []
-        for memory in (1, 5, 20):
-            points = []
-
-            def evaluate(x):
-                points.append(x.copy())
-                return objective_and_gradient(problem, x)
-
-            result = lbfgs_minimize(
-                evaluate,
-                np.zeros(problem.state_size),
-                memory=memory,
-                grad_tol=grad_tol,
-                precondition=precondition,
-            )
-            runs.append((result, points))
-        (first, first_points), *others = runs
-        for result, points in others:
-            assert result.iterations == first.iterations, grad_tol
-            for a, b in zip(points, first_points):
-                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
-            assert np.linalg.norm(result.x - first.x) <= 1e-12 * np.linalg.norm(first.x)
+        result = lbfgs_minimize(
+            lambda x: objective_and_gradient(problem, x),
+            np.zeros(problem.state_size),
+            grad_tol=grad_tol,
+            precondition=precondition,
+        )
+        x = np.zeros(problem.state_size)
+        r = b.copy()
+        z = precondition(r)
+        p = z
+        rz = r @ z
+        for _ in range(result.iterations):
+            Ap = A @ p
+            alpha = rz / (p @ Ap)
+            x += alpha * p
+            r -= alpha * Ap
+            z = precondition(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        assert np.linalg.norm(result.x - x) <= 1e-12 * np.linalg.norm(x), grad_tol
 
 
 def test_fused_call_is_bit_identical_to_separate_calls():
