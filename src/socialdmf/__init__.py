@@ -61,8 +61,6 @@ from .smoother import (
     apply_process,
     apply_process_adjoint,
     apply_qinv,
-    gradient,
-    objective,
     objective_and_gradient,
     objective_terms,
 )
@@ -100,14 +98,12 @@ __all__ = [
     "factorize_bin",
     "filter_min_ratings",
     "finite_diff_check",
-    "gradient",
     "init_timeline",
     "laplacian_quadratic",
     "lbfgs_minimize",
     "load_dataset",
     "load_factors",
     "merge_split",
-    "objective",
     "objective_and_gradient",
     "objective_terms",
     "parse_ratings",

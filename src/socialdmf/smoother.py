@@ -102,7 +102,6 @@ class SmootherProblem:
         self.k = config.k
         self.N = train.N
 
-        self.x0_position = np.array(factors[0].U, dtype=np.float64)
         self.z = np.concatenate(train.values)
         # H has one 1-by-k block per observation l of bin t: V_t[j_l], in the
         # block column of user i_l's row of bin t's position block.
@@ -187,20 +186,12 @@ def apply_qinv(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _process_residual(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
-    """G x - w, where w anchors bin 0's position to the static initializer."""
-    r = apply_process(problem, x)
-    _blocks(problem, r)[0, 1] -= problem.x0_position
-    return r
-
-
 def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
-    """Shared core of all objective/gradient entry points.
+    """Shared core of :func:`objective_terms` and :func:`objective_and_gradient`.
 
     Returns ``(terms, grad)`` where ``terms`` is the (measurement, process,
-    social) triple and ``grad`` is None unless requested. The term values are
-    computed along one fixed code path so that every public entry point
-    returns bit-identical numbers.
+    social) triple and ``grad`` is None unless requested. The terms are
+    computed along one code path, so both entry points return the same bits.
     """
     X = _blocks(problem, x)
     cfg = problem.config
@@ -211,7 +202,9 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     if not np.isfinite(meas):
         raise NumericalError("measurement term is non-finite")
 
-    rp = _process_residual(problem, x)
+    # G x - w: w anchors bin 0's position to the static initializer.
+    rp = apply_process(problem, x)
+    _blocks(problem, rp)[0, 1] -= problem.factors[0].U
     qr = apply_qinv(problem, rp)
     proc = 0.5 * float(rp @ qr)
     # Each state-sized temporary is dropped once read for the last time, so
@@ -256,35 +249,20 @@ def objective_terms(problem: SmootherProblem, x: np.ndarray) -> tuple[float, flo
     return terms
 
 
-def objective(problem: SmootherProblem, x: np.ndarray) -> float:
-    """The smoothing objective f(x)."""
-    meas, proc, social = objective_terms(problem, x)
-    return meas + proc + social
-
-
-def gradient(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
-    """The exact gradient of f at x, same layout as the state."""
-    _, grad = _evaluate(problem, x, want_gradient=True)
-    return grad
-
-
 def objective_and_gradient(problem: SmootherProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fused objective and gradient, sharing the residual computations."""
-    terms, grad = _evaluate(problem, x, want_gradient=True)
-    meas, proc, social = terms
+    """f(x), the sum of :func:`objective_terms`, and its exact gradient in the state's layout."""
+    (meas, proc, social), grad = _evaluate(problem, x, want_gradient=True)
     return meas + proc + social, grad
 
 
-def _time_stencil(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """One user's process Hessian ``G' Qinv G`` per latent coordinate, over N bins.
+def _time_stencil(N: int) -> np.ndarray:
+    """One user's process Hessian ``T = G' Qinv G`` per latent coordinate.
 
-    Returns the (N, 2, 2) diagonal blocks ``a_t = Q_INV + F' Q_INV F``
-    (``Q_INV`` for the last bin) over (velocity, position), and the 2-by-2
-    block ``-F' Q_INV`` that couples bins t and t+1.
+    The dense (2N, 2N) matrix over N bins of (velocity, position), with
+    ``G = I - kron(eye(N, k=-1), F)``. Its entries are small integers, so exact.
     """
-    diagonal = np.repeat((Q_INV + F.T @ Q_INV @ F)[None], N, axis=0)
-    diagonal[-1] = Q_INV
-    return diagonal, -F.T @ Q_INV
+    G = np.eye(2 * N) - np.kron(np.eye(N, k=-1), F)
+    return G.T @ np.kron(np.eye(N), Q_INV) @ G
 
 
 def _spd_inverse(S: np.ndarray) -> np.ndarray:
@@ -310,26 +288,28 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
 
     P is the Hessian without the Laplacians' adjacency entries. Keeping only
     the degree terms decouples the users, so P is, per user,
-    block-tridiagonal in time with 2k-by-2k (velocity, position) blocks:
-    ``kron(a_t, I_k)`` on the diagonal, ``a_t = Qinv + F' Qinv F`` (``Qinv``
-    for the last bin) with F the transition, plus ``M_it / sigma^2 + lam
-    deg_t(i) I_k`` on positions, M_it the Gram matrix of user i's bin-t item
-    factors; ``kron(-F' Qinv, I_k)`` couples bins t and t+1. At ``lam = 0``
-    P is the Hessian and the operator is ``P^-1``. Forward block
-    elimination in time (the information form of the Rauch-Tung-Striebel
-    smoother) inverts each symmetric positive definite Schur complement
-    through its Cholesky factor and stores the inverses as one
-    (N, m, 2k, 2k) float32 stack; ``P^-1 r`` is a forward and a backward
-    sweep of float64 batched mat-vecs.
+    block-tridiagonal in time with 2k-by-2k (velocity, position) blocks.
+    With T one user's time stencil (:func:`_time_stencil`), bin t's diagonal
+    block is ``kron(a_t, I_k)``, ``a_t`` T's 2-by-2 diagonal block of bin t,
+    plus ``M_it / sigma^2 + lam deg_t(i) I_k`` on positions, M_it the Gram
+    matrix of user i's bin-t item factors; ``kron(T[:2, 2:4], I_k)`` couples
+    bins t and t+1. At ``lam = 0`` P is the Hessian and the operator is
+    ``P^-1``. Forward block elimination in time (the information form of
+    the Rauch-Tung-Striebel smoother) inverts each symmetric positive
+    definite Schur complement through its Cholesky factor and stores the
+    inverses as one (N, m, 2k, 2k) float32 stack; ``P^-1 r`` is a forward
+    and a backward sweep of float64 batched mat-vecs. A complement that is
+    not positive definite in floating point, as at a tiny sigma, raises
+    :class:`NumericalError`.
 
     At ``lam > 0`` P is far too stiff where every user moves together:
     there ``L 1 = 0`` but ``D 1`` is large. The second term, a coarse
     correction, undoes that. Z has one column per (bin, velocity/position,
     latent coordinate), equal for every user, so ``Z' r`` sums over users
     and ``Z c`` broadcasts. Because ``L 1 = 0``, ``E = Z' A Z`` is
-    ``kron(m T, I_k)``, T one user's 2N-by-2N time stencil, plus
-    ``sum_l V_j V_j' / sigma^2`` over each bin's training ratings on its
-    position block; ``E_P = Z' P Z`` adds ``lam * sum(deg_t) I_k`` there.
+    ``kron(m T, I_k)`` plus ``sum_l V_j V_j' / sigma^2`` over each bin's
+    training ratings on its position block; ``E_P = Z' P Z`` adds
+    ``lam * sum(deg_t) I_k`` there.
     It is a one-aggregate coarse space in the additive form (Nicolaides,
     SIAM J. Numer. Anal. 24, 1987; Tang, Nabben, Vuik & Erlangga, J. Sci.
     Comput. 39, 2009). The operator is fixed, and it is symmetric positive
@@ -347,9 +327,9 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
     """
     N, m, k = problem.N, problem.m, problem.k
     cfg = problem.config
-    diagonal, off = _time_stencil(N)
+    T = _time_stencil(N)
     eye = np.eye(k)
-    coupling = np.kron(off, eye)  # block (t, t+1) of every user
+    coupling = np.kron(T[:2, 2:4], eye)  # block (t, t+1) of every user
     count = -(-m // PRECONDITIONER_CHUNK)
     chunks = [slice(m * c // count, m * (c + 1) // count) for c in range(count)]
 
@@ -357,7 +337,8 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
 
     def build(chunk: slice) -> None:
         for t in range(N):
-            S = np.repeat(np.kron(diagonal[t], eye)[None], chunk.stop - chunk.start, axis=0)
+            a_t = T[2 * t : 2 * t + 2, 2 * t : 2 * t + 2]
+            S = np.repeat(np.kron(a_t, eye)[None], chunk.stop - chunk.start, axis=0)
             users, items, _ = problem.train.bin(t)
             lo, hi = np.searchsorted(users, (chunk.start, chunk.stop))
             if hi > lo:
@@ -369,18 +350,19 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
                 S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[chunk, None, None] * eye
             if t > 0:
                 S -= coupling.T @ S_inv @ coupling
-            S_inv = _spd_inverse(S)
+            try:
+                S_inv = _spd_inverse(S)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"bin {t}: a preconditioner block is not positive definite in floating point"
+                ) from exc
             inverses[t, chunk] = S_inv
 
     parallel_map(build, chunks)
 
     delta = None
     if cfg.lam > 0:
-        T = np.zeros((N, 2, N, 2))
-        T[np.arange(N), :, np.arange(N)] = diagonal
-        T[np.arange(N - 1), :, np.arange(1, N)] = off
-        T[np.arange(1, N), :, np.arange(N - 1)] = off.T
-        E = np.kron(m * T.reshape(2 * N, 2 * N), eye).reshape(N, 2, k, N, 2, k)
+        E = np.kron(m * T, eye).reshape(N, 2, k, N, 2, k)
         E_P = E.copy()
         for t in range(N):
             V = problem.factors[t].V[problem.train.items[t]]

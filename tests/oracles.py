@@ -90,7 +90,7 @@ def dense_anchor(problem: SmootherProblem) -> np.ndarray:
     """The anchor vector w: zero except bin 0's position block."""
     mk = problem.m * problem.k
     w = np.zeros(problem.N * 2 * mk)
-    w[mk : 2 * mk] = problem.x0_position.ravel()
+    w[mk : 2 * mk] = problem.factors[0].U.ravel()
     return w
 
 

@@ -19,10 +19,8 @@ from socialdmf import (
     SmootherConfig,
     check_gradient,
     factorize_bin,
-    gradient,
     init_timeline,
     lbfgs_minimize,
-    objective,
     objective_and_gradient,
     apply_measurement,
     apply_measurement_adjoint,
@@ -77,8 +75,7 @@ def test_operators_match_dense_assembly():
             )
             rng = np.random.default_rng(900 + seed)
             x = rng.standard_normal(problem.state_size)
-            f = objective(problem, x)
-            g = gradient(problem, x)
+            f, g = objective_and_gradient(problem, x)
             f_dense = oracles.dense_objective(problem, x)
             g_dense = oracles.dense_gradient(problem, x)
             worst = max(worst, abs(f - f_dense) / max(1.0, abs(f_dense)))
@@ -109,7 +106,7 @@ def test_optimizer_reaches_normal_equations_solution():
                 np.zeros(problem.state_size),
                 max_iter=2000, grad_tol=1e-10,
             )
-            worst = max(worst, abs(objective(problem, result.x) - f_star))
+            worst = max(worst, abs(objective_and_gradient(problem, result.x)[0] - f_star))
     _report(
         3, "optimizer objective matches the normal equations",
         worst <= 1e-8,

@@ -133,6 +133,15 @@ def test_smooth_exits_1_on_a_numerical_failure(synth_dataset, tmp_path, capsys, 
     assert not (tmp_path / "s").exists()
 
 
+def test_smooth_exits_1_when_the_preconditioner_loses_definiteness(synth_dataset, tmp_path, capsys):
+    rc = main([
+        "smooth", "--data", str(synth_dataset), "--k", "2", "--sigma", "1e-10",
+        "--out", str(tmp_path / "s"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("numerical failure")
+
+
 def test_smooth_rejects_rank_mismatched_checkpoint(synth_dataset, tmp_path, capsys):
     static_dir = tmp_path / "static"
     assert main([

@@ -10,6 +10,7 @@ from socialdmf import (
     lbfgs_minimize,
     write_trace,
 )
+from socialdmf.optim import FD_DIRECTIONS
 
 
 def quadratic_problem(d, seed, cond=50.0):
@@ -202,7 +203,7 @@ def test_gradient_check_flags_corrupted_coordinate():
     assert err > 1e-2
 
 
-@pytest.mark.parametrize("n_directions", [3, 20])
+@pytest.mark.parametrize("n_directions", [FD_DIRECTIONS])
 def test_gradient_check_uses_directions_for_large_states(n_directions):
     d = 10_001
     calls = {"n": 0}
@@ -212,7 +213,7 @@ def test_gradient_check_uses_directions_for_large_states(n_directions):
         return 0.5 * float(x @ x), x
 
     x = np.random.default_rng(1).standard_normal(d)
-    err = finite_diff_check(evaluate, x, step=1e-4, n_directions=n_directions, seed=0)
+    err = finite_diff_check(evaluate, x, step=1e-4, seed=0)
     assert err <= 1e-6
     # 1 analytic call plus two per direction: far fewer than 2d.
     assert calls["n"] == 1 + 2 * n_directions
@@ -222,9 +223,3 @@ def test_gradient_check_rejects_bad_step():
     evaluate = lambda x: (float(x @ x), 2 * x)
     with pytest.raises(ValueError):
         finite_diff_check(evaluate, np.zeros(3), step=0.0)
-
-
-def test_gradient_check_rejects_fewer_than_one_direction():
-    evaluate = lambda x: (float(x @ x), 2 * x)
-    with pytest.raises(ValueError):
-        finite_diff_check(evaluate, np.zeros(3), step=1e-4, n_directions=0)

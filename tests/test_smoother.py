@@ -18,10 +18,8 @@ from socialdmf import (
     apply_process,
     apply_process_adjoint,
     apply_qinv,
-    gradient,
     laplacian_quadratic,
     lbfgs_minimize,
-    objective,
     objective_and_gradient,
     objective_terms,
     random_problem,
@@ -80,8 +78,7 @@ def test_objective_and_gradient_match_dense(seed, lam, sigma, dt, case):
     problem = _edge_case_problem(case, seed, lam, sigma, dt)
     rng = np.random.default_rng(100 + seed)
     x = rng.standard_normal(problem.state_size)
-    f = objective(problem, x)
-    g = gradient(problem, x)
+    f, g = objective_and_gradient(problem, x)
     f_dense = oracles.dense_objective(problem, x)
     g_dense = oracles.dense_gradient(problem, x)
     np.testing.assert_allclose(f, f_dense, rtol=1e-10)
@@ -124,6 +121,13 @@ def test_preconditioner_inverts_the_hessian_without_adjacency(seed, lam, dt, cas
     expected = np.linalg.inv(P) @ Q
     # The inverse blocks are stored in float32.
     np.testing.assert_allclose(P_inv_Q, expected, rtol=1e-5, atol=1e-5 * np.abs(expected).max())
+
+
+def test_preconditioner_block_losing_definiteness_is_a_numerical_error():
+    # At a tiny sigma the Gram terms swamp the prior and a Schur complement
+    # rounds to indefinite; that is a numerical failure, not bad input.
+    with pytest.raises(NumericalError, match="bin 0: a preconditioner block"):
+        block_preconditioner(tiny_problem(sigma=1e-10))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20])
@@ -231,10 +235,10 @@ def test_preconditioned_lbfgs_reaches_normal_equations_solution(seed, lam, dt, c
             precondition=precondition,
         )
         assert result.status == "converged", grad_tol
-        assert abs(objective(problem, result.x) - f_star) <= 1e-8
+        f, fresh = objective_and_gradient(problem, result.x)
+        assert abs(f - f_star) <= 1e-8
         # The solver updates the gradient recursively; a fresh one must agree.
-        fresh = np.linalg.norm(objective_and_gradient(problem, result.x)[1])
-        assert fresh / max(1.0, np.linalg.norm(result.x)) <= grad_tol
+        assert np.linalg.norm(fresh) / max(1.0, np.linalg.norm(result.x)) <= grad_tol
         if lam == 0 and grad_tol == 1e-6:
             assert result.iterations <= 2
 
@@ -295,14 +299,6 @@ def test_preconditioned_solve_is_pcg(seed, lam, dt, case):
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
         assert np.linalg.norm(result.x - x) <= 1e-12 * np.linalg.norm(x), grad_tol
-
-
-def test_fused_call_is_bit_identical_to_separate_calls():
-    problem = tiny_problem(seed=3, lam=0.2)
-    x = np.random.default_rng(5).standard_normal(problem.state_size)
-    f, g = objective_and_gradient(problem, x)
-    assert f == objective(problem, x)
-    np.testing.assert_array_equal(g, gradient(problem, x))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -367,7 +363,7 @@ def test_objective_terms_nonnegative_and_named():
         x = rng.standard_normal(problem.state_size) * rng.uniform(0.1, 10)
         meas, proc, social = objective_terms(problem, x)
         assert meas >= 0.0 and proc >= 0.0 and social >= 0.0
-        assert objective(problem, x) == meas + proc + social
+        assert objective_and_gradient(problem, x)[0] == meas + proc + social
 
 
 def test_social_term_scales_exactly_with_lambda():
@@ -393,8 +389,8 @@ def test_social_term_scales_exactly_with_lambda():
     assert social == 0.5 * lam * quad
     # Composite difference agrees to rounding: the two problems share every
     # other term bit for bit.
-    f_lam = objective(social_problem, x)
-    f_zero = objective(base, x)
+    f_lam = sum(objective_terms(social_problem, x))
+    f_zero = sum(objective_terms(base, x))
     np.testing.assert_allclose(f_lam - f_zero, social, rtol=1e-12, atol=1e-12)
 
 
@@ -428,14 +424,13 @@ def test_empty_train_bin_contributes_nothing_to_measurement():
 
 def test_anchor_defaults_to_first_bin_static_positions():
     problem = tiny_problem(seed=6)
-    np.testing.assert_array_equal(problem.x0_position, problem.factors[0].U)
     # At x = (zero velocities, static positions), bin 0's process residual
     # vanishes, so the process term only sees later transitions.
     layout = dict(N=problem.N, m=problem.m, k=problem.k)
     x = SmootherState(x=np.zeros(problem.state_size), **layout)
     x.blocks[:, 1] = [pair.U for pair in problem.factors]
     rp = SmootherState(x=apply_process(problem, x.x), **layout)
-    rp.blocks[0, 1] -= problem.x0_position
+    rp.blocks[0, 1] -= problem.factors[0].U
     np.testing.assert_allclose(rp.blocks[0], 0.0, atol=1e-14)
 
 
@@ -445,13 +440,13 @@ def test_non_finite_state_raises_named_error():
     x[0] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="process term"):
-            objective(problem, x)
+            objective_terms(problem, x)
 
 
 def test_dimension_mismatches_rejected():
     problem = tiny_problem(seed=0)
     with pytest.raises(ValueError):
-        objective(problem, np.zeros(problem.state_size + 1))
+        objective_terms(problem, np.zeros(problem.state_size + 1))
     with pytest.raises(ValueError):
         apply_measurement_adjoint(problem, np.zeros(problem.total_observations() + 2))
 
