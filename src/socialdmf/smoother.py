@@ -13,7 +13,10 @@ fixed factor row, G chains consecutive bins through a constant-velocity
 transition over bins one time unit apart, Qinv is the blockwise inverse
 process covariance, and L applies each bin's graph Laplacian to the position
 block. All operators act in O(N k (m + p + edges)) time; nothing of size
-m x n is ever formed.
+m x n is ever formed. H is not stored either: the measurement and its
+adjoint read each bin's ratings in place from the training timeline and
+gather the factor rows they need per call, so a problem holds nothing that
+grows with the number of ratings.
 
 The anchor w is zero except in its first position block, which carries the
 static initialization of bin 0 propagated through one transition from rest.
@@ -64,6 +67,9 @@ class SmootherProblem:
         One per bin. ``None`` builds the problem with no social term at all,
         which is also the behaviour when ``config.lam == 0``.
     config : SmootherConfig
+
+    Besides its inputs and their sizes the problem holds only ``indptr``,
+    an (N, m + 1) array: each bin's ratings as CSR rows over users.
     """
 
     def __init__(
@@ -102,15 +108,9 @@ class SmootherProblem:
         self.k = config.k
         self.N = train.N
 
-        self.z = np.concatenate(train.values)
-        # H has one 1-by-k block per observation l of bin t: V_t[j_l], in the
-        # block column of user i_l's row of bin t's position block.
-        block_cols = np.concatenate([(2 * t + 1) * self.m + users for t, users in enumerate(train.users)])
-        data = np.concatenate([factors[t].V[items] for t, items in enumerate(train.items)])
-        p = block_cols.size
-        self.H = sp.bsr_matrix(
-            (data[:, None, :], block_cols, np.arange(p + 1)), shape=(p, self.state_size)
-        ).tocsr()
+        # The timeline stores each bin in (user, item) order, so user i's
+        # ratings in bin t are positions indptr[t, i] to indptr[t, i + 1].
+        self.indptr = np.stack([np.searchsorted(users, np.arange(self.m + 1)) for users in train.users])
 
     @property
     def state_size(self) -> int:
@@ -125,24 +125,46 @@ def _blocks(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     return SmootherState(x=x, N=problem.N, m=problem.m, k=problem.k).blocks
 
 
+def _rating_slices(problem: SmootherProblem):
+    """Each bin t with the slice of its ratings in the flat, bin-by-bin rating vector."""
+    stop = 0
+    for t, count in enumerate(problem.train.counts):
+        start, stop = stop, stop + count
+        yield t, slice(start, stop)
+
+
 def apply_measurement(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
     """Predict every training observation from the position blocks.
 
-    Returns the length-sum(p_t) vector ``H x`` of inner products, bin by bin.
+    Returns the length-sum(p_t) vector ``H x`` of inner products, bin by bin:
+    observation l of bin t predicts ``U_t[i_l] . V_t[j_l]``.
     """
-    return problem.H @ _blocks(problem, x).reshape(-1)
+    X = _blocks(problem, x)
+    out = np.empty(problem.total_observations())
+    for t, rows in _rating_slices(problem):
+        # np.take gathers rows two to three times faster than fancy indexing.
+        user_rows = np.take(X[t, 1], problem.train.users[t], axis=0)
+        item_rows = np.take(problem.factors[t].V, problem.train.items[t], axis=0)
+        np.einsum("lk,lk->l", user_rows, item_rows, out=out[rows])
+    return out
 
 
 def apply_measurement_adjoint(problem: SmootherProblem, r: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`apply_measurement`: scatter residuals back to positions.
 
     Observation l of bin t adds ``r_l * V_t[j_l, :]`` to position row ``i_l``;
-    velocity blocks stay zero.
+    velocity blocks stay zero. Bin t's scatter is one CSR product over its
+    (user, item) ratings.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 1 or r.size != problem.total_observations():
         raise ValueError(f"residual must have length {problem.total_observations()}, got shape {r.shape}")
-    return problem.H.T @ r
+    out = np.zeros(problem.state_size)
+    blocks = _blocks(problem, out)
+    for t, rows in _rating_slices(problem):
+        weights = sp.csr_matrix((r[rows], problem.train.items[t], problem.indptr[t]), shape=(problem.m, problem.n))
+        blocks[t, 1] = weights @ problem.factors[t].V
+    return out
 
 
 def apply_process(problem: SmootherProblem, x: np.ndarray) -> np.ndarray:
@@ -197,7 +219,9 @@ def _evaluate(problem: SmootherProblem, x: np.ndarray, want_gradient: bool):
     cfg = problem.config
     sigma2 = cfg.sigma**2
 
-    rm = apply_measurement(problem, x) - problem.z
+    rm = apply_measurement(problem, x)
+    for t, rows in _rating_slices(problem):
+        rm[rows] -= problem.train.values[t]
     meas = 0.5 / sigma2 * float(rm @ rm)
     if not np.isfinite(meas):
         raise NumericalError("measurement term is non-finite")
@@ -339,13 +363,13 @@ def block_preconditioner(problem: SmootherProblem) -> Callable[[np.ndarray], np.
         for t in range(N):
             a_t = T[2 * t : 2 * t + 2, 2 * t : 2 * t + 2]
             S = np.repeat(np.kron(a_t, eye)[None], chunk.stop - chunk.start, axis=0)
-            users, items, _ = problem.train.bin(t)
-            lo, hi = np.searchsorted(users, (chunk.start, chunk.stop))
+            indptr = problem.indptr[t, chunk.start : chunk.stop + 1]
+            lo, hi = indptr[0], indptr[-1]
             if hi > lo:
-                V = problem.factors[t].V[items[lo:hi]]
-                first = np.flatnonzero(np.diff(users[lo:hi], prepend=-1))
-                gram = np.add.reduceat(V[:, :, None] * V[:, None, :], first)
-                S[users[lo + first] - chunk.start, k:, k:] += gram / cfg.sigma**2
+                V = problem.factors[t].V[problem.train.items[t][lo:hi]]
+                rated = np.flatnonzero(np.diff(indptr))
+                gram = np.add.reduceat(V[:, :, None] * V[:, None, :], indptr[rated] - lo)
+                S[rated, k:, k:] += gram / cfg.sigma**2
             if cfg.lam > 0:
                 S[:, k:, k:] += cfg.lam * problem.laplacians[t].degrees[chunk, None, None] * eye
             if t > 0:

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,8 +50,9 @@ def _edge_case_problem(case, seed, lam, sigma, dt=1.0):
     laplacians = problem.laplacians
     if case == "empty bin":
         bins[1] = ([], [], [])
-    elif case == "unrated user":
-        bins = [tuple(a[users != 0] for a in (users, items, values)) for users, items, values in bins]
+    elif case in ("unrated user", "last user unrated"):
+        dropped = 0 if case == "unrated user" else problem.m - 1
+        bins = [tuple(a[users != dropped] for a in (users, items, values)) for users, items, values in bins]
     elif case == "edgeless bin":
         # The same edges, created in bin 1 instead of bin 0.
         last = laplacians[-1]
@@ -71,6 +73,7 @@ def _edge_case_problem(case, seed, lam, sigma, dt=1.0):
         pytest.param(0.05, 0.7, 1.0, "N=1", id="N=1"),
         pytest.param(0.05, 0.7, 1.0, "empty bin", id="empty-bin"),
         pytest.param(0.05, 0.7, 1.0, "unrated user", id="unrated-user"),
+        pytest.param(0.05, 0.7, 1.0, "last user unrated", id="last-user-unrated"),
         pytest.param(0.3, 1.0, 1.0, "edgeless bin", id="edgeless-bin"),
     ],
 )
@@ -85,7 +88,13 @@ def test_objective_and_gradient_match_dense(seed, lam, sigma, dt, case):
     np.testing.assert_allclose(g, g_dense, rtol=1e-10, atol=1e-10 * max(1.0, np.abs(g_dense).max()))
     r = apply_measurement(problem, x) - oracles.dense_z(problem)
     assert objective_terms(problem, x)[0] == 0.5 / problem.config.sigma**2 * float(r @ r)
-    np.testing.assert_array_equal(problem.H.toarray(), oracles.dense_measurement(problem))
+    # Every product with a unit vector multiplies by 0 and 1 only, so the
+    # operators reproduce the oracle's columns and rows exactly.
+    H = oracles.dense_measurement(problem)
+    columns = [apply_measurement(problem, e) for e in np.eye(problem.state_size)]
+    np.testing.assert_array_equal(np.column_stack(columns), H)
+    rows = [apply_measurement_adjoint(problem, e) for e in np.eye(problem.total_observations())]
+    np.testing.assert_array_equal(np.vstack(rows), H)
 
 
 PRECONDITIONER_CASES = [
@@ -97,6 +106,7 @@ PRECONDITIONER_CASES = [
     pytest.param(0.3, 1.0, "empty bin", id="empty-bin"),
     pytest.param(0.3, 1.0, "unrated user", id="unrated-user"),
     pytest.param(0.0, 2.0, "unrated user", id="unrated-user-lam0"),
+    pytest.param(0.3, 1.0, "last user unrated", id="last-user-unrated"),
 ]
 
 
@@ -338,6 +348,20 @@ def test_measurement_never_builds_the_dense_grid():
     x = np.random.default_rng(2).standard_normal(problem.state_size)
     out = apply_measurement(problem, x)
     assert out.shape == (10,)
+
+
+def test_problem_build_keeps_no_copy_of_the_ratings():
+    # The measurement reads each bin's ratings in place from the timeline, so
+    # a build allocates O(N m) index entries, not p rows of k item factors.
+    base = random_problem(m=50, n=400, k=20, N=2, p_per_bin=10_000, trust_edges=0, lam=0.0, seed=3)
+    tracemalloc.start()
+    try:
+        problem = SmootherProblem(base.train, base.factors, None, base.config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rating_rows = problem.total_observations() * problem.k * 8
+    assert peak < rating_rows / 20, (peak, rating_rows)
 
 
 @pytest.mark.parametrize("seed", range(10))
