@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from ._parallel import parallel_map
 from .domain import FactorPair, FactorTimeline, SmootherConfig
-from .ingest import SplitTimeline, read_npy
+from .ingest import DataFormatError, SplitTimeline, read_array
 
 logger = logging.getLogger(__name__)
 
@@ -220,15 +220,14 @@ def save_factors(directory, timeline: FactorTimeline) -> None:
 def load_factors(directory) -> FactorTimeline:
     """Read a checkpoint directory written by :func:`save_factors`.
 
-    Never unpickles. Raises ValueError when a file is not a ``.npy`` array
-    (an ``.npz`` archive, say), when a stack is not 3-d, or when the two
-    disagree on N or k.
+    Both stacks are read by :func:`~socialdmf.ingest.read_array` as float64
+    3-d arrays; stacks that disagree on N or k also raise DataFormatError. A
+    missing file raises FileNotFoundError.
     """
     directory = Path(directory)
-    U = read_npy(directory / "U.npy")
-    V = read_npy(directory / "V.npy")
-    if U.ndim != 3 or V.ndim != 3 or U.shape[0] != V.shape[0] or U.shape[2] != V.shape[2]:
-        raise ValueError(
+    U, V = (read_array(directory / name, np.float64, (-1, -1, -1)) for name in ("U.npy", "V.npy"))
+    if U.shape[0] != V.shape[0] or U.shape[2] != V.shape[2]:
+        raise DataFormatError(
             f"{directory}: U.npy and V.npy must be (N, m, k) and (N, n, k) stacks, "
             f"got {U.shape} and {V.shape}"
         )

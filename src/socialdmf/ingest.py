@@ -12,6 +12,7 @@ of its earliest sighting and persists in every later bin.
 The canonical on-disk dataset is a directory of three ``.npy`` arrays and
 three text files (see :func:`save_dataset`), written deterministically so
 that equal inputs give equal bytes. The older per-bin TSV layout is not read.
+Every ``.npy`` file the package loads, dataset or checkpoint, is read by :func:`read_array`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import datetime
 import logging
 import math
-import re
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -364,17 +364,12 @@ def save_dataset(
     (P,)), trust.npy (int64 (3, E): a < b, creation bin; each edge once,
     sorted by (created, a, b)), users.map, items.map (id, tab, index),
     meta.txt (m, n, N, counts p=).
-    Any ``ratings_bin_<t>.tsv`` or ``trust_bin_<t>.tsv`` of the old per-bin
-    layout in ``directory`` is deleted, so no stale bin is left beside the
-    arrays; no other file is touched.
+    No other file in ``directory`` is touched, old per-bin TSV files included.
     """
     if ratings.N != trust.N or ratings.m != trust.m:
         raise ValueError("ratings and trust timelines disagree on (m, N)")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for path in directory.glob("*_bin_*.tsv"):
-        if re.fullmatch(r"(ratings|trust)_bin_[0-9]+\.tsv", path.name):
-            path.unlink()
     for name, mapping in (("users.map", user_map), ("items.map", item_map)):
         with open(directory / name, "w", encoding="utf-8") as fh:
             for key, idx in sorted(mapping.items(), key=lambda kv: kv[1]):
@@ -390,21 +385,16 @@ def save_dataset(
         fh.write("p=" + ",".join(str(c) for c in ratings.counts) + "\n")
 
 
-def read_npy(path: Path) -> np.ndarray:
-    """Read one .npy array, never unpickling; a file that is not one raises DataFormatError naming it."""
+def read_array(path: Path, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a .npy array of exactly ``dtype`` and ``shape`` (-1: any length), never unpickling.
+
+    Any other file raises :class:`DataFormatError` naming it.
+    """
     with open(path, "rb") as fh:
         try:
-            return np.lib.format.read_array(fh, allow_pickle=False)
+            array = np.lib.format.read_array(fh, allow_pickle=False)
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def _load_array(path: Path, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """Read one .npy array with :func:`read_npy`; check ``dtype`` and ``shape`` (-1: any length)."""
-    try:
-        array = read_npy(path)
-    except FileNotFoundError:
-        raise DataFormatError(f"{path} not found; TSV datasets are no longer read, re-run ingest or synth")
     wrong_shape = array.ndim != len(shape) or any(w not in (-1, a) for w, a in zip(shape, array.shape))
     if array.dtype != dtype or wrong_shape:
         raise DataFormatError(
@@ -428,11 +418,11 @@ def _read_map(path: Path, size: int) -> dict[str, int]:
 def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, int], dict[str, int]]:
     """Read a dataset directory written by :func:`save_dataset`.
 
-    Never unpickles; each bin's arrays are views of the loaded ones, as
-    :func:`save_dataset` writes every bin in (user, item) order. An edge
-    listed again in trust.npy, in either order, keeps its earliest bin. A
-    wrong dtype or shape, counts that disagree with meta.txt, an index out of
-    range, a self-loop, a creation bin outside ``[0, N)``, a non-finite or
+    Arrays are read by :func:`read_array`; each bin's are views of the loaded
+    ones, as :func:`save_dataset` writes every bin in (user, item) order. An
+    edge listed again in trust.npy, in either order, keeps its earliest bin.
+    A wrong dtype or shape, counts that disagree with meta.txt, an index out
+    of range, a self-loop, a creation bin outside ``[0, N)``, a non-finite or
     repeated rating, a map not sending m (resp. n) distinct ids onto the
     indices, or a missing array (as in the old TSV layout) raises
     :class:`DataFormatError` naming its file.
@@ -454,12 +444,17 @@ def load_dataset(directory) -> tuple[RatingsTimeline, TrustTimeline, dict[str, i
     if len(counts) != N or min(counts) < 0 or min(m, n) < 1:
         raise DataFormatError(f"{meta_path}: p= lists {counts} for N={N} bins (m={m}, n={n})")
     user_map, item_map = _read_map(directory / "users.map", m), _read_map(directory / "items.map", n)
-    index_path, trust_path = directory / "ratings_index.npy", directory / "trust.npy"
-    index = _load_array(index_path, np.int64, (2, sum(counts)))
-    values = _load_array(directory / "ratings_value.npy", np.float64, (sum(counts),))
-    edges = _load_array(trust_path, np.int64, (3, -1))
+    index_path, values_path, trust_path = paths = [
+        directory / name for name in ("ratings_index.npy", "ratings_value.npy", "trust.npy")
+    ]
+    for path in paths:
+        if not path.exists():
+            raise DataFormatError(f"{path} not found; TSV datasets are no longer read, re-run ingest or synth")
+    index = read_array(index_path, np.int64, (2, sum(counts)))
+    values = read_array(values_path, np.float64, (sum(counts),))
+    edges = read_array(trust_path, np.int64, (3, -1))
     if not np.isfinite(values).all():
-        raise DataFormatError(f"{directory / 'ratings_value.npy'}: non-finite rating value")
+        raise DataFormatError(f"{values_path}: non-finite rating value")
     bounds = np.cumsum([0] + counts)
     bins = [(index[0, a:b], index[1, a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])]
     try:

@@ -167,21 +167,31 @@ def test_factorize_rejects_zero_iters(synth_dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "U_shape,V_shape",
+    "U_shape,V_shape,message",
     [
-        pytest.param((3, 15, 2), (2, 10, 2), id="N-differs"),
-        pytest.param((3, 15, 2), (3, 10, 3), id="k-differs"),
-        pytest.param((15, 2), (10, 2), id="not-3d"),
+        pytest.param((3, 15, 2), (2, 10, 2), "stacks", id="N-differs"),
+        pytest.param((3, 15, 2), (3, 10, 3), "stacks", id="k-differs"),
+        pytest.param((15, 2), (10, 2), "U.npy", id="not-3d"),
     ],
 )
-def test_evaluate_rejects_mismatched_checkpoint_stacks(synth_dataset, tmp_path, capsys, U_shape, V_shape):
+def test_evaluate_rejects_mismatched_checkpoint_stacks(synth_dataset, tmp_path, capsys, U_shape, V_shape, message):
     ckpt = tmp_path / "ckpt"
     ckpt.mkdir()
     np.save(ckpt / "U.npy", np.zeros(U_shape))
     np.save(ckpt / "V.npy", np.zeros(V_shape))
     rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(ckpt)])
     assert rc == 2
-    assert "stacks" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_evaluate_on_a_checkpoint_of_strings_exits_2(synth_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    np.save(ckpt / "U.npy", np.zeros((3, 15, 2)).astype(str))
+    np.save(ckpt / "V.npy", np.zeros((3, 10, 2)))
+    rc = main(["evaluate", "--data", str(synth_dataset), "--factors", str(ckpt)])
+    assert rc == 2
+    assert str(ckpt / "U.npy") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["U.npy", "V.npy"])

@@ -476,7 +476,8 @@ def test_write_results_csv_handles_nan(tmp_path):
     )
     path = tmp_path / "res.csv"
     write_results_csv(path, [r], N=1)
-    rows = list(csv.reader(open(path, newline="")))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[1][0] == "static"
     assert rows[1][3] == "nan"
     assert rows[0][-1] == "rel_grad"

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from socialdmf import (
+    DataFormatError,
     FactorPair,
     RatingsTimeline,
     SmootherConfig,
@@ -310,18 +311,26 @@ def test_factor_checkpoint_is_byte_identical_across_saves(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "U_shape,V_shape",
+    "U_shape,V_shape,match",
     [
-        pytest.param((3, 5, 2), (2, 4, 2), id="N-differs"),
-        pytest.param((3, 5, 2), (3, 4, 3), id="k-differs"),
-        pytest.param((5, 2), (4, 2), id="not-3d"),
-        pytest.param((3, 5, 2), (3, 4, 2, 1), id="V-4d"),
+        pytest.param((3, 5, 2), (2, 4, 2), "stacks", id="N-differs"),
+        pytest.param((3, 5, 2), (3, 4, 3), "stacks", id="k-differs"),
+        pytest.param((5, 2), (4, 2), "U.npy", id="not-3d"),
+        pytest.param((3, 5, 2), (3, 4, 2, 1), "V.npy", id="V-4d"),
     ],
 )
-def test_load_factors_rejects_mismatched_stacks(tmp_path, U_shape, V_shape):
+def test_load_factors_rejects_mismatched_stacks(tmp_path, U_shape, V_shape, match):
     np.save(tmp_path / "U.npy", np.zeros(U_shape))
     np.save(tmp_path / "V.npy", np.zeros(V_shape))
-    with pytest.raises(ValueError, match="stacks"):
+    with pytest.raises(ValueError, match=match):
+        load_factors(tmp_path)
+
+
+@pytest.mark.parametrize("dtype", [str, bool, np.int64, np.complex128, np.float32])
+def test_load_factors_rejects_a_stack_that_is_not_float64(tmp_path, dtype):
+    np.save(tmp_path / "U.npy", np.ones((1, 2, 2)).astype(dtype))
+    np.save(tmp_path / "V.npy", np.zeros((1, 3, 2)))
+    with pytest.raises(DataFormatError, match=r"U\.npy: holds .* expected float64"):
         load_factors(tmp_path)
 
 

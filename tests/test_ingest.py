@@ -828,22 +828,27 @@ def test_load_dataset_rejects_an_old_tsv_directory(tmp_path):
         load_dataset(tmp_path / "d")
 
 
-def test_save_dataset_deletes_the_old_per_bin_files_and_nothing_else(tmp_path):
+@pytest.mark.parametrize("name", ["trust.npy", "ratings_value.npy"])
+def test_load_dataset_names_a_missing_array(tmp_path, name):
+    _saved_fixture(tmp_path / "d")
+    (tmp_path / "d" / name).unlink()
+    with pytest.raises(DataFormatError, match=rf"{name} not found.*re-run ingest or synth"):
+        load_dataset(tmp_path / "d")
+
+
+def test_save_dataset_leaves_every_other_file_as_it_is(tmp_path):
     directory = tmp_path / "d"
     directory.mkdir()
-    stale = [f"ratings_bin_{t}.tsv" for t in (0, 1, 7, 11)] + [f"trust_bin_{t}.tsv" for t in (0, 12)]
-    kept = [
+    old = [f"ratings_bin_{t}.tsv" for t in (0, 1, 7, 11)] + [f"trust_bin_{t}.tsv" for t in (0, 12)]
+    other = [
         "notes.txt", "ratings_bin_x.tsv", "ratings_bin_0.tsv.bak", "old_ratings_bin_0.tsv",
         "trust_bin_.tsv", "ratings_bin_0.csv", "truth_U.npy", "ratings_bin_٣.tsv",
     ]
-    for name in stale + kept:
+    for name in old + other:
         (directory / name).write_text(f"{name}\n", encoding="utf-8")
     _saved_fixture(directory)
-    names = {p.name for p in directory.iterdir()}
-    assert names.isdisjoint(stale)
-    assert set(kept) <= names
-    for name in kept:
-        assert (directory / name).read_text(encoding="utf-8") == f"{name}\n"
+    for name in old + other:
+        assert (directory / name).read_bytes() == f"{name}\n".encode("utf-8")
     load_dataset(directory)
 
 
